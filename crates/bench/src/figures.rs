@@ -159,7 +159,9 @@ pub fn run_topology_sweep(
                 let tree = timing::phase("index", || OwnerTree::build(&asg));
                 let mut values = Vec::with_capacity(2 * nt);
                 for &topo in topologies {
-                    let machine = crate::harness::machine(opts, topo, num_procs, curve);
+                    let machine = timing::phase("machine", || {
+                        crate::harness::machine(opts, topo, num_procs, curve)
+                    });
                     values.push(timing::phase("nfi", || {
                         nfi_acd(&asg, &machine, radius, norm)
                             .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
@@ -274,7 +276,9 @@ pub fn run_processor_sweep(
                         crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
                     });
                     let tree = timing::phase("index", || OwnerTree::build(&asg));
-                    let machine = crate::harness::machine(opts, topology, procs, curve);
+                    let machine = timing::phase("machine", || {
+                        crate::harness::machine(opts, topology, procs, curve)
+                    });
                     vec![
                         timing::phase("nfi", || {
                             nfi_acd(&asg, &machine, radius, norm)
@@ -382,8 +386,9 @@ pub fn run_radius_sweep(
                     let asg = timing::phase("assign", || {
                         crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
                     });
-                    let machine =
-                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve);
+                    let machine = timing::phase("machine", || {
+                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve)
+                    });
                     vec![timing::phase("nfi", || {
                         nfi_acd(&asg, &machine, radius, norm)
                             .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
@@ -461,8 +466,9 @@ pub fn run_input_size_sweep(
                         crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
                     });
                     let tree = timing::phase("index", || OwnerTree::build(&asg));
-                    let machine =
-                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve);
+                    let machine = timing::phase("machine", || {
+                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve)
+                    });
                     vec![
                         timing::phase("nfi", || {
                             nfi_acd(&asg, &machine, radius, norm)
@@ -543,8 +549,9 @@ pub fn run_distribution_comparison(
                         crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
                     });
                     let tree = timing::phase("index", || OwnerTree::build(&asg));
-                    let machine =
-                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve);
+                    let machine = timing::phase("machine", || {
+                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve)
+                    });
                     vec![
                         timing::phase("nfi", || {
                             nfi_acd(&asg, &machine, radius, norm)

@@ -38,15 +38,18 @@ pub struct CurvePairGrid {
     pub ffi: [[Option<Stats>; 4]; 4],
 }
 
-/// Run the Table I/II experiment for every distribution in the spec.
+/// Run the Table I/II experiment for every distribution in the spec. The
+/// four processor-order machines are built once and shared by every
+/// distribution.
 pub fn run_tables(
     spec: &ExperimentSpec,
     opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> Vec<CurvePairGrid> {
+    let machines = machines(spec, opts);
     spec.distributions
         .iter()
-        .map(|&dist| run_distribution(dist, spec, opts, runner))
+        .map(|&dist| run_grid(dist, spec, opts, &machines, runner))
         .collect()
 }
 
@@ -61,17 +64,31 @@ pub fn run_distribution(
     opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> CurvePairGrid {
+    run_grid(dist, spec, opts, &machines(spec, opts), runner)
+}
+
+/// The spec's processor-order machines, one per curve.
+fn machines(spec: &ExperimentSpec, opts: &ComputeOpts) -> Vec<Machine> {
+    spec.effective_processor_curves()
+        .iter()
+        .map(|&proc_curve| {
+            crate::harness::machine(opts, spec.topologies[0], spec.processors[0], proc_curve)
+        })
+        .collect()
+}
+
+/// [`run_distribution`] against prebuilt machines.
+fn run_grid(
+    dist: Distribution,
+    spec: &ExperimentSpec,
+    opts: &ComputeOpts,
+    machines: &[Machine],
+    runner: &mut SweepRunner,
+) -> CurvePairGrid {
     let workload = spec.workload(dist);
     let num_procs = spec.processors[0];
     let radius = spec.radii[0];
     let norm = spec.norm;
-    let machines: Vec<Machine> = spec
-        .effective_processor_curves()
-        .iter()
-        .map(|&proc_curve| {
-            crate::harness::machine(opts, spec.topologies[0], num_procs, proc_curve)
-        })
-        .collect();
 
     // Per-trial particle sets, sampled lazily and shared by the trial's
     // four cells (which may run on different worker threads): a fully
@@ -84,7 +101,6 @@ pub fn run_distribution(
         for &particle_curve in spec.particle_curves.iter() {
             let name = format!("{}/t{t}/{}", dist.kind, particle_curve.short_name());
             let workload = &workload;
-            let machines = &machines;
             cells.push(BatchCell::new(name, move || {
                 // Phase markers feed the `--timing` envelope; "sample" is
                 // only paid by the first of a trial's four cells (the rest

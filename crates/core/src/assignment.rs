@@ -12,6 +12,7 @@ use sfc_curves::{CurveKind, Point2};
 use sfc_particles::cellmap::{pack_cell, CellMap};
 use sfc_particles::GridIndex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Process-wide count of assignments that built the dense [`GridIndex`]
 /// fast path (see [`dense_grid_builds`]).
@@ -46,7 +47,9 @@ pub struct Assignment {
     particles: Vec<Point2>,
     /// Rank of occupied cell, keyed by packed cell coordinates. Always
     /// present: the fallback when the dense index is over-cap or ablated.
-    cell_rank: CellMap,
+    /// Shared with the far-field owner tree, which answers finest-level
+    /// `owner` queries from it.
+    cell_rank: Arc<CellMap>,
     /// Dense occupancy fast path: one indexed load per cell query, whole
     /// rows for segment scans. `None` above the cell cap (or when ablated);
     /// both paths answer identically.
@@ -115,7 +118,7 @@ impl Assignment {
             num_ranks,
             chunk,
             particles: ordered,
-            cell_rank,
+            cell_rank: Arc::new(cell_rank),
             grid,
         }
     }
@@ -195,6 +198,12 @@ impl Assignment {
             Some(g) => g.is_occupied(x, y),
             None => self.cell_rank.contains(pack_cell(x, y)),
         }
+    }
+
+    /// The cell → rank map behind [`Assignment::rank_of_cell`]'s fallback,
+    /// shared rather than copied.
+    pub(crate) fn cell_map(&self) -> &Arc<CellMap> {
+        &self.cell_rank
     }
 
     /// The dense rank row at height `y` (`row[x]` is the owner of cell

@@ -66,6 +66,7 @@ pub mod oracle;
 pub mod pattern;
 pub mod report;
 pub mod runner;
+mod scan;
 pub mod sha256;
 pub mod spec;
 pub mod stats;

@@ -19,9 +19,9 @@
 use crate::assignment::Assignment;
 use crate::error::SfcError;
 use crate::machine::Machine;
+use crate::scan::{scan_row, Sender, Tally};
 use rayon::prelude::*;
 use sfc_curves::point::Norm;
-use sfc_particles::GridIndex;
 
 /// Outcome of a near-field ACD computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,22 +84,20 @@ pub fn nfi_acd(
     let side = 1i64 << asg.grid_order();
     let r = radius as i64;
 
-    let result = asg
+    let tally = asg
         .particles()
         .par_iter()
         .enumerate()
-        .fold(NfiResult::default, |mut acc, (i, p)| {
+        .fold(Tally::default, |mut acc, (i, p)| {
             // Hoist the per-particle invariants: the particle's rank and —
             // when the machine carries the dense oracle — its whole
-            // distance row, so an exchange costs one indexed u16 load
-            // instead of a virtual distance call.
-            let rank = asg.rank_of_index(i);
-            let row = machine.distance_row(rank);
+            // distance row.
+            let from = Sender::new(machine, asg.rank_of_index(i));
             let x = p.x as i64;
             // The neighborhood is a stack of contiguous row segments: per
             // `dy`, `dx` spans `±r` (Chebyshev) or `±(r − |dy|)`
-            // (Manhattan). Clip each segment against the grid edge once,
-            // then scan it with no per-cell bounds checks.
+            // (Manhattan). Clip each segment against the grid edge once;
+            // `dy == 0` cuts out the particle's own cell.
             for dy in -r..=r {
                 let ny = p.y as i64 + dy;
                 if ny < 0 || ny >= side {
@@ -109,89 +107,18 @@ pub fn nfi_acd(
                     Norm::Chebyshev => r,
                     Norm::Manhattan => r - dy.abs(),
                 };
-                let lo = (x - w).max(0);
-                let hi = (x + w).min(side - 1);
-                if lo > hi {
-                    continue;
-                }
-                match asg.rank_row(ny as u32) {
-                    Some(ranks) => {
-                        // Dense fast path: two indexed loads (rank slot +
-                        // oracle row) per occupied cell. `dy == 0` splits
-                        // around the particle's own cell.
-                        if dy == 0 {
-                            scan_segment(&ranks[lo as usize..x as usize], rank, row, machine, &mut acc);
-                            scan_segment(&ranks[(x + 1) as usize..=hi as usize], rank, row, machine, &mut acc);
-                        } else {
-                            scan_segment(&ranks[lo as usize..=hi as usize], rank, row, machine, &mut acc);
-                        }
-                    }
-                    None => {
-                        // Fallback (over-cap grid or `--no-dense-grid`):
-                        // probe the CellMap per cell of the same clipped
-                        // segment. Identical visit set, identical sums.
-                        for nx in lo..=hi {
-                            if dy == 0 && nx == x {
-                                continue;
-                            }
-                            if let Some(other) = asg.rank_of_cell(nx as u32, ny as u32) {
-                                acc.num_comms += 1;
-                                if other == rank {
-                                    acc.local_comms += 1;
-                                } else {
-                                    acc.total_distance += match row {
-                                        Some(row) => u64::from(row[other as usize]),
-                                        None => machine.distance(rank, other),
-                                    };
-                                }
-                            }
-                        }
-                    }
-                }
+                let xs = (x - w).max(0) as u32..(x + w + 1).min(side) as u32;
+                let hole = if dy == 0 { p.x..p.x + 1 } else { 0..0 };
+                scan_row(asg, ny as u32, xs, hole, &from, &mut acc);
             }
             acc
         })
-        .reduce(NfiResult::default, NfiResult::merge);
-    Ok(result)
-}
-
-/// Accumulate one clipped row segment of the dense rank table into `acc`:
-/// every occupied slot is one directed exchange. With the oracle row in
-/// hand the accumulate is branchless past the occupancy test — the oracle's
-/// zero self-distance makes rank-local exchanges add nothing.
-#[inline]
-fn scan_segment(
-    seg: &[u32],
-    rank: u32,
-    row: Option<&[u16]>,
-    machine: &Machine,
-    acc: &mut NfiResult,
-) {
-    match row {
-        Some(row) => {
-            for &other in seg {
-                if other == GridIndex::EMPTY {
-                    continue;
-                }
-                acc.num_comms += 1;
-                acc.local_comms += u64::from(other == rank);
-                acc.total_distance += u64::from(row[other as usize]);
-            }
-        }
-        None => {
-            for &other in seg {
-                if other == GridIndex::EMPTY {
-                    continue;
-                }
-                acc.num_comms += 1;
-                if other == rank {
-                    acc.local_comms += 1;
-                } else {
-                    acc.total_distance += machine.distance(rank, other);
-                }
-            }
-        }
-    }
+        .reduce(Tally::default, Tally::merge);
+    Ok(NfiResult {
+        total_distance: tally.distance,
+        num_comms: tally.comms,
+        local_comms: tally.local,
+    })
 }
 
 #[cfg(test)]

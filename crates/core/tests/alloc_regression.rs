@@ -1,21 +1,29 @@
-//! Allocation regression tests for the far-field enumeration path.
+//! Allocation regression tests for the interaction kernels.
 //!
-//! The far-field sweep enumerates one interaction list per occupied cell per
-//! level per trial; before the inline-buffer rewrite those lists were
-//! heap-backed `Vec`s and `level_entries` re-collected each level's hash
-//! table into a fresh `Vec` per call, making the allocator the hottest
-//! symbol in the loop. These tests pin the fix: once the `OwnerTree` is
-//! built, a full `ffi_acd_with_tree` evaluation performs **zero** heap
-//! allocations.
+//! The far-field sweep visits one interaction list per occupied cell per
+//! level per trial; an allocation in that loop makes the allocator the
+//! hottest symbol. These tests pin the allocation-free contract: once the
+//! `OwnerTree` is built, a full `ffi_acd_with_tree` evaluation performs
+//! **zero** heap allocations on dense and fallback assignments alike,
+//! rebuilding the tree at an unchanged grid order reuses its pyramid
+//! tables, and the NFI row scan allocates nothing.
 //!
 //! The lib crates `forbid(unsafe_code)`; the counting allocator below needs
 //! the (inherently unsafe) `GlobalAlloc` trait, which is why this lives in
 //! an integration test with its own crate root.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Per thread, so tests running
+    /// concurrently in this binary do not count each other's allocations.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAllocator;
 
@@ -23,7 +31,7 @@ struct CountingAllocator;
 // side effect only.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -32,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -41,9 +49,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (ALLOCS.with(Cell::get) - before, out)
 }
 
 use sfc_core::assignment::Assignment;
@@ -69,20 +77,51 @@ fn workload() -> Vec<Point2> {
 }
 
 /// The workspace pins a sequential rayon stand-in, so every kernel below
-/// runs on this thread and the process-wide counter observes exactly the
-/// kernel's own allocations (tests in this file run in one binary, but only
-/// measured sections matter — each measurement is deltas around a closure).
+/// runs on the calling thread and the per-thread counter observes exactly
+/// the kernel's own allocations.
 #[test]
 fn ffi_sweep_allocates_nothing_after_tree_build() {
     let particles = workload();
-    let asg = Assignment::new(&particles, 4, CurveKind::Hilbert, 16);
+    let dense = Assignment::new(&particles, 4, CurveKind::Hilbert, 16);
+    let sparse = dense.clone().without_dense_grid();
     let machine = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert);
-    let tree = OwnerTree::build(&asg);
-    // Warm-up call so lazily initialized state (oracle rows etc.) is built.
-    let expected = ffi_acd_with_tree(&asg, &machine, &tree).unwrap();
-    let (allocs, got) = allocations_during(|| ffi_acd_with_tree(&asg, &machine, &tree).unwrap());
-    assert_eq!(got, expected);
-    assert_eq!(allocs, 0, "ffi_acd_with_tree must not allocate per call");
+    let mut expected = None;
+    for asg in [&dense, &sparse] {
+        let tree = OwnerTree::build(asg);
+        // Warm-up call so lazily initialized state (oracle rows etc.) is built.
+        let warm = ffi_acd_with_tree(asg, &machine, &tree).unwrap();
+        let (allocs, got) = allocations_during(|| ffi_acd_with_tree(asg, &machine, &tree).unwrap());
+        assert_eq!(got, warm);
+        assert_eq!(
+            *expected.get_or_insert(got),
+            got,
+            "dense and fallback disagree"
+        );
+        assert_eq!(
+            allocs,
+            0,
+            "ffi_acd_with_tree must not allocate per call (dense grid: {})",
+            asg.has_dense_grid()
+        );
+    }
+}
+
+#[test]
+fn owner_tree_rebuild_reuses_the_pyramid() {
+    let particles = workload();
+    let first = Assignment::new(&particles, 4, CurveKind::Hilbert, 16);
+    let second = Assignment::new(&particles, 4, CurveKind::RowMajor, 16);
+    let mut tree = OwnerTree::build(&first);
+    let (allocs, ()) = allocations_during(|| tree.rebuild(&second));
+    assert_eq!(
+        allocs, 0,
+        "rebuild at an unchanged grid order must reuse its tables"
+    );
+    let machine = Machine::grid(TopologyKind::Torus, 16, CurveKind::RowMajor);
+    assert_eq!(
+        ffi_acd_with_tree(&second, &machine, &tree).unwrap(),
+        ffi_acd_with_tree(&second, &machine, &OwnerTree::build(&second)).unwrap()
+    );
 }
 
 #[test]

@@ -2,12 +2,13 @@
 //! that must hold for arbitrary inputs, curves and machines.
 
 use proptest::prelude::*;
-use sfc_core::ffi::{ffi_acd, OwnerTree};
+use sfc_core::ffi::{ffi_acd, ffi_acd_with_tree, FfiResult, OwnerTree};
 use sfc_core::load::route;
 use sfc_core::nfi::nfi_acd;
 use sfc_core::{Assignment, Machine};
 use sfc_curves::point::Norm;
 use sfc_curves::{CurveKind, Point2};
+use sfc_quadtree::{interaction_list, Cell};
 use sfc_topology::bfs::bfs_distances;
 use sfc_topology::{Bus, Hypercube, Mesh2d, Ring, Torus2d, TopologyKind};
 use std::collections::{HashMap, VecDeque};
@@ -26,8 +27,98 @@ fn distinct_cells(order: u32, raws: &[(u32, u32)]) -> Vec<Point2> {
     out
 }
 
+/// Per-level owners computed the slow way: the minimum rank over each
+/// cell's particles, keyed by cell coordinates.
+fn reference_owners(asg: &Assignment) -> Vec<HashMap<(u32, u32), u32>> {
+    let k = asg.grid_order();
+    let mut owners = vec![HashMap::new(); k as usize + 1];
+    for (i, p) in asg.particles().iter().enumerate() {
+        let rank = asg.rank_of_index(i);
+        for level in 0..=k {
+            let shift = k - level;
+            let owner = owners[level as usize]
+                .entry((p.x >> shift, p.y >> shift))
+                .or_insert(rank);
+            *owner = (*owner).min(rank);
+        }
+    }
+    owners
+}
+
+/// Brute-force far field: the reference owners, interaction lists from
+/// `sfc_quadtree::interaction_list`, one explicit probe per list entry,
+/// and hop distances straight from the topology (no oracle).
+fn reference_ffi(asg: &Assignment, machine: &Machine) -> FfiResult {
+    let owners = reference_owners(asg);
+    let node = |rank: u32| machine.node_of(rank);
+    let hops = |a: u32, b: u32| machine.topology().distance(node(a), node(b));
+    let mut r = FfiResult::default();
+    for level in 1..=asg.grid_order() {
+        let cells = &owners[level as usize];
+        for (&(x, y), &rank) in cells {
+            r.interp_distance += hops(rank, owners[level as usize - 1][&(x >> 1, y >> 1)]);
+            r.interp_comms += 1;
+            for other in interaction_list(Cell::new(level, x, y)) {
+                if let Some(&o) = cells.get(&(other.x, other.y)) {
+                    r.ilist_distance += hops(rank, o);
+                    r.ilist_comms += 1;
+                }
+            }
+        }
+    }
+    r.anterp_distance = r.interp_distance;
+    r.anterp_comms = r.interp_comms;
+    r
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The owner pyramid and the far-field kernel agree with the
+    /// brute-force reference at every order, on every topology, with the
+    /// oracle on and off and with dense and fallback assignments.
+    #[test]
+    fn ffi_matches_brute_force_reference(
+        raws in prop::collection::vec((any::<u32>(), any::<u32>()), 1..120),
+        order in 2u32..7,
+        curve_idx in 0usize..4,
+        topo_idx in 0usize..6,
+        procs_idx in 0usize..3,
+    ) {
+        let cells = distinct_cells(order, &raws);
+        let curve = CurveKind::PAPER[curve_idx];
+        let procs = [4u64, 16, 64][procs_idx];
+        let dense = Assignment::new(&cells, order, curve, procs);
+        let sparse = dense.clone().without_dense_grid();
+        prop_assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
+        let cached = Machine::new(TopologyKind::PAPER[topo_idx], procs, curve);
+        let plain = Machine::new(TopologyKind::PAPER[topo_idx], procs, curve).without_oracle();
+        let want = reference_ffi(&dense, &plain);
+        let owners = reference_owners(&dense);
+        // One tree, rebuilt in place from another grid order, so table
+        // reuse, growth and truncation are checked too.
+        let other_order = Assignment::new(&[Point2::new(0, 0)], 8 - order, curve, 1);
+        let mut tree = OwnerTree::build(&other_order);
+        for asg in [&dense, &sparse] {
+            tree.rebuild(asg);
+            prop_assert_eq!(tree.num_levels(), order as usize + 1);
+            for level in 0..=order {
+                let side = 1u32 << level;
+                let lookup = &owners[level as usize];
+                prop_assert_eq!(tree.level_len(level), lookup.len());
+                for x in 0..side {
+                    for y in 0..side {
+                        let cell = Cell::new(level, x, y);
+                        prop_assert_eq!(tree.owner(cell), lookup.get(&(x, y)).copied());
+                    }
+                }
+            }
+            for machine in [&cached, &plain] {
+                prop_assert_eq!(ffi_acd_with_tree(asg, machine, &tree).unwrap(), want);
+                prop_assert_eq!(ffi_acd(asg, machine).unwrap(), want);
+            }
+        }
+    }
 
     /// The ACD is bounded by the network diameter for arbitrary inputs.
     #[test]

@@ -115,32 +115,6 @@ impl CellMap {
         }
     }
 
-    /// Remove every entry, keeping the allocated table for reuse. A cleared
-    /// map behaves exactly like a fresh `with_capacity` of the same size —
-    /// this is the scratch API per-trial index builders use to stop
-    /// reallocating a map per level per trial.
-    pub fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
-    }
-
-    /// Clear the map and guarantee room for at least `capacity` entries at
-    /// ~50% load, reallocating only when the existing table is too small.
-    pub fn reset(&mut self, capacity: usize) {
-        let needed = (capacity.max(4) * 2).next_power_of_two();
-        if needed > self.keys.len() {
-            *self = CellMap::with_capacity(capacity);
-        } else {
-            self.clear();
-        }
-    }
-
-    /// Number of slots allocated (entry capacity is ~half this at the 50%
-    /// sizing load factor).
-    pub fn slots(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Look up `key`.
     #[inline]
     pub fn get(&self, key: u64) -> Option<u32> {
@@ -257,46 +231,6 @@ mod tests {
         let mut expected: Vec<_> = reference.into_iter().collect();
         expected.sort_unstable();
         assert_eq!(collected, expected);
-    }
-
-    #[test]
-    fn clear_empties_without_reallocating() {
-        let mut m = CellMap::with_capacity(100);
-        for i in 0..100 {
-            m.insert_first(i, i as u32);
-        }
-        let slots = m.slots();
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.len(), 0);
-        assert_eq!(m.slots(), slots);
-        for i in 0..100u64 {
-            assert_eq!(m.get(i), None);
-        }
-        // The cleared map is fully usable again.
-        m.insert_min(7, 3);
-        assert_eq!(m.get(7), Some(3));
-        assert_eq!(m.len(), 1);
-    }
-
-    #[test]
-    fn reset_reuses_or_grows_as_needed() {
-        let mut m = CellMap::with_capacity(100);
-        for i in 0..100 {
-            m.insert_first(i, 0);
-        }
-        let slots = m.slots();
-        // Shrinking or same-size reset keeps the allocation.
-        m.reset(50);
-        assert_eq!(m.slots(), slots);
-        assert!(m.is_empty());
-        // A larger capacity grows the table.
-        m.reset(10 * slots);
-        assert!(m.slots() > slots);
-        for i in 0..(10 * slots as u64) {
-            m.insert_first(i, 1);
-        }
-        assert_eq!(m.len(), 10 * slots);
     }
 
     #[test]
