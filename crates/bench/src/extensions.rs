@@ -22,13 +22,11 @@
 //! constants of the artifact family itself.
 
 use crate::artifact::ComputeOpts;
+use crate::cell::{Machines, Measure, Pipeline, TrialCache};
 use sfc_core::anns::{anns, anns_cyclic};
 use sfc_core::anns3d::anns3d;
 use sfc_core::clustering::average_clusters;
-use sfc_core::ffi::ffi_acd;
-use sfc_core::load::nfi_link_load;
 use sfc_core::model3d::{ffi_acd_3d, nfi_acd_3d, Assignment3, Machine3, Topology3Kind};
-use sfc_core::nfi::nfi_acd;
 use sfc_core::report::Table;
 use sfc_core::runner::{BatchCell, SweepRunner};
 use sfc_core::timing;
@@ -43,11 +41,7 @@ use std::sync::OnceLock;
 
 /// Format one cell's values with the given per-column formatters, or a row
 /// of `—` when the cell failed or was skipped.
-fn row_or_missing(
-    label: &str,
-    values: Option<&[f64]>,
-    fmts: &[fn(f64) -> String],
-) -> Vec<String> {
+fn row_or_missing(label: &str, values: Option<&[f64]>, fmts: &[fn(f64) -> String]) -> Vec<String> {
     let mut row = vec![label.to_string()];
     match values {
         Some(vs) => row.extend(vs.iter().zip(fmts).map(|(&v, f)| f(v))),
@@ -75,11 +69,17 @@ pub fn run_extensions(
     runner: &mut SweepRunner,
 ) -> Vec<Table> {
     // 1. Link congestion on the torus at the spec's (floored) Table I
-    // configuration.
+    // configuration. Trial 0 feeds it, trial 1 the closed-curve study.
     let workload = spec.workload(spec.distributions[0]);
+    let particles = TrialCache::new(workload, 2);
     let procs = spec.processors[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
+    let link_loads = Pipeline {
+        opts,
+        machines: Machines::Build(&[TopologyKind::Torus]),
+        measure: Measure::LinkLoad,
+        radius: spec.radii[0],
+        norm: spec.norm,
+    };
     let mut congestion = Table::new(
         format!(
             "NFI link congestion — torus, {} particles, {procs} processors",
@@ -94,34 +94,13 @@ pub fn run_extensions(
             "imbalance",
         ],
     );
-    let particles = OnceLock::new();
     let congestion_cells: Vec<BatchCell> = spec
         .particle_curves
         .iter()
         .map(|&curve| {
             let particles = &particles;
-            let workload = &workload;
-            BatchCell::new(format!("congestion/{}", curve.short_name()), move || {
-                let particles =
-                    timing::phase("sample", || particles.get_or_init(|| workload.particles(0)));
-                let asg = timing::phase("assign", || {
-                    crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
-                });
-                let machine = crate::harness::machine(opts, TopologyKind::Torus, procs, curve);
-                let load =
-                    timing::phase("nfi", || nfi_link_load(&asg, &machine, radius, norm));
-                let acd = if load.messages == 0 {
-                    0.0
-                } else {
-                    load.crossings as f64 / load.messages as f64
-                };
-                vec![
-                    acd,
-                    load.max_load() as f64,
-                    load.mean_load(),
-                    load.mean_active_load(),
-                    load.imbalance(),
-                ]
+            BatchCell::try_new(format!("congestion/{}", curve.short_name()), move || {
+                link_loads.measure_cell(particles, 0, curve, procs)
             })
         })
         .collect();
@@ -147,10 +126,12 @@ pub fn run_extensions(
         .iter()
         .map(|&order| {
             BatchCell::new(format!("anns3d/o{order}"), move || {
-                Curve3dKind::ALL
-                    .iter()
-                    .map(|&k| anns3d(k, order).average())
-                    .collect()
+                timing::phase("anns", || {
+                    Curve3dKind::ALL
+                        .iter()
+                        .map(|&k| anns3d(k, order).average())
+                        .collect()
+                })
             })
         })
         .collect();
@@ -171,7 +152,13 @@ pub fn run_extensions(
     let particles3 = OnceLock::new();
     let mut acd3 = Table::new(
         format!("3-D ACD — {n3} uniform particles in a 64^3 cube, {procs3} processors"),
-        &["Curve", "NFI mesh3d", "NFI torus3d", "NFI hypercube", "FFI torus3d"],
+        &[
+            "Curve",
+            "NFI mesh3d",
+            "NFI torus3d",
+            "NFI hypercube",
+            "FFI torus3d",
+        ],
     );
     let seed = spec.seed;
     let acd3_cells: Vec<BatchCell> = Curve3dKind::ALL
@@ -179,17 +166,25 @@ pub fn run_extensions(
         .map(|&curve| {
             let particles3 = &particles3;
             BatchCell::new(format!("acd3d/{}", curve.short_name()), move || {
-                let particles3 = particles3
-                    .get_or_init(|| sample3d(Distribution::uniform(), cube_order, n3, seed));
-                let asg = Assignment3::new(particles3, cube_order, curve, procs3);
-                let mut row = Vec::new();
-                for topo in Topology3Kind::ALL {
-                    let machine = Machine3::new(topo, procs3, curve);
-                    row.push(nfi_acd_3d(&asg, &machine, 1).acd());
-                }
-                // Reorder: ALL = [Mesh3d, Torus3d, Hypercube] matches headers.
-                let torus = Machine3::new(Topology3Kind::Torus3d, procs3, curve);
-                row.push(ffi_acd_3d(&asg, &torus).acd());
+                let particles3 = timing::phase("sample", || {
+                    particles3
+                        .get_or_init(|| sample3d(Distribution::uniform(), cube_order, n3, seed))
+                });
+                let asg = timing::phase("assign", || {
+                    Assignment3::new(particles3, cube_order, curve, procs3)
+                });
+                let machine =
+                    |topo| timing::phase("machine", || Machine3::new(topo, procs3, curve));
+                // ALL = [Mesh3d, Torus3d, Hypercube] matches the headers.
+                let mut row: Vec<f64> = Topology3Kind::ALL
+                    .iter()
+                    .map(|&topo| {
+                        let machine = machine(topo);
+                        timing::phase("nfi", || nfi_acd_3d(&asg, &machine, 1).acd())
+                    })
+                    .collect();
+                let torus = machine(Topology3Kind::Torus3d);
+                row.push(timing::phase("ffi", || ffi_acd_3d(&asg, &torus).acd()));
                 row
             })
         })
@@ -205,19 +200,20 @@ pub fn run_extensions(
     // 4. Clustering vs ANNS, side by side.
     let mut metrics = Table::new(
         "Clustering (4x4 queries) vs ANNS at 64x64 — the metric inversion",
-        &["Curve", "avg clusters (lower=better)", "ANNS (lower=better)"],
+        &[
+            "Curve",
+            "avg clusters (lower=better)",
+            "ANNS (lower=better)",
+        ],
     );
     let metric_cells: Vec<BatchCell> = spec
         .particle_curves
         .iter()
         .map(|&curve| {
-            BatchCell::new(format!("metrics/{}", curve.short_name()), move || {
-                vec![
-                    average_clusters(curve, 6, 4),
-                    anns(curve, 6)
-                        .unwrap_or_else(|e| panic!("anns: {e}"))
-                        .average(),
-                ]
+            BatchCell::try_new(format!("metrics/{}", curve.short_name()), move || {
+                let clusters = timing::phase("clustering", || average_clusters(curve, 6, 4));
+                let stretch = timing::phase("anns", || anns(curve, 6))?;
+                Ok(vec![clusters, stretch.average()])
             })
         })
         .collect();
@@ -226,7 +222,11 @@ pub fn run_extensions(
         .iter()
         .zip(runner.run_cells(metric_cells))
     {
-        metrics.push_row(row_or_missing(curve.short_name(), result.values(), &[f3, f3]));
+        metrics.push_row(row_or_missing(
+            curve.short_name(),
+            result.values(),
+            &[f3, f3],
+        ));
     }
 
     // 5. Closed curves: does closing the Hilbert loop (Moore curve) help on
@@ -236,39 +236,28 @@ pub fn run_extensions(
         &["Curve", "NFI ACD", "FFI ACD", "cyclic max stretch (64x64)"],
     );
     let closed_curves = [CurveKind::Hilbert, CurveKind::Moore];
-    let moore_particles = OnceLock::new();
+    let acd_pair = Pipeline {
+        measure: Measure::NfiFfi,
+        ..link_loads
+    };
     let moore_cells: Vec<BatchCell> = closed_curves
         .iter()
         .map(|&curve| {
-            let particles = &moore_particles;
-            let workload = &workload;
-            BatchCell::new(format!("moore/{}", curve.short_name()), move || {
-                let particles =
-                    timing::phase("sample", || particles.get_or_init(|| workload.particles(1)));
-                let asg = timing::phase("assign", || {
-                    crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
-                });
-                let machine = crate::harness::machine(opts, TopologyKind::Torus, procs, curve);
-                vec![
-                    timing::phase("nfi", || {
-                        nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                    }),
-                    timing::phase("ffi", || {
-                        ffi_acd(&asg, &machine)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                    }),
-                    anns_cyclic(curve, 6, 1, Norm::Manhattan)
-                        .unwrap_or_else(|e| panic!("anns_cyclic: {e}"))
-                        .max_stretch,
-                ]
+            let particles = &particles;
+            BatchCell::try_new(format!("moore/{}", curve.short_name()), move || {
+                let mut values = acd_pair.measure_cell(particles, 1, curve, procs)?;
+                let cyclic = timing::phase("anns", || anns_cyclic(curve, 6, 1, Norm::Manhattan))?;
+                values.push(cyclic.max_stretch);
+                Ok(values)
             })
         })
         .collect();
     for (curve, result) in closed_curves.iter().zip(runner.run_cells(moore_cells)) {
-        moore.push_row(row_or_missing(curve.short_name(), result.values(), &[f3, f3, f0]));
+        moore.push_row(row_or_missing(
+            curve.short_name(),
+            result.values(),
+            &[f3, f3, f0],
+        ));
     }
 
     vec![congestion, table3d, acd3, metrics, moore]

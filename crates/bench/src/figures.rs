@@ -2,24 +2,24 @@
 //!
 //! Every sweep is decomposed into named cells — one `(configuration, trial)`
 //! unit each — executed through the fault-tolerant [`SweepRunner`], so an
-//! interrupted regeneration resumes from its `--journal` and a cell that
-//! panics is retried, then recorded as a structured failure without
-//! aborting the rest of the sweep. Values missing after a partial sweep
-//! surface as `None` entries and render as `—`.
+//! interrupted regeneration resumes from its `--journal`, and a cell that
+//! returns a typed error (or keeps panicking after its retries) is recorded
+//! as a structured failure without aborting the rest of the sweep. Values
+//! missing after a partial sweep surface as `None` entries and render as
+//! `—`. The ACD sweeps measure their cells through the shared pipeline in
+//! `cell.rs`.
 
 use crate::artifact::ComputeOpts;
+use crate::cell::{fold, Grid, Machines, Measure, Pipeline, TrialCache};
 use sfc_core::anns::anns_radius;
-use sfc_core::ffi::{ffi_acd_with_tree, OwnerTree};
-use sfc_core::nfi::nfi_acd;
 use sfc_core::report::Table;
-use sfc_core::runner::{BatchCell, CellResult, SweepRunner};
+use sfc_core::runner::{BatchCell, SweepRunner};
 use sfc_core::timing;
 use sfc_core::{ExperimentSpec, Stats};
 use sfc_curves::point::Norm;
-use sfc_curves::{CurveKind, Point2};
+use sfc_curves::CurveKind;
 use sfc_particles::Workload;
 use sfc_topology::TopologyKind;
-use std::sync::OnceLock;
 
 /// Format an optional mean to the paper's three decimals, `—` when the
 /// partial sweep left it uncomputed.
@@ -28,10 +28,6 @@ fn fmt_cell(v: Option<f64>) -> String {
         Some(v) => format!("{v:.3}"),
         None => "—".to_string(),
     }
-}
-
-fn mean_of(samples: &[f64]) -> Option<f64> {
-    Stats::try_from_samples(samples).ok().map(|s| s.mean)
 }
 
 // ---------------------------------------------------------------------------
@@ -61,12 +57,11 @@ pub fn run_anns_sweep(radius: u32, orders: &[u32], runner: &mut SweepRunner) -> 
     for &curve in CurveKind::PAPER.iter() {
         for &order in &orders {
             let name = format!("r{radius}/{}/o{order}", curve.short_name());
-            cells.push(BatchCell::new(name, move || {
-                timing::phase("anns", || {
-                    vec![anns_radius(curve, order, radius, Norm::Manhattan)
-                        .unwrap_or_else(|e| panic!("anns_radius: {e}"))
-                        .average()]
-                })
+            cells.push(BatchCell::try_new(name, move || {
+                let stretch = timing::phase("anns", || {
+                    anns_radius(curve, order, radius, Norm::Manhattan)
+                });
+                Ok(vec![stretch?.average()])
             }));
         }
     }
@@ -134,70 +129,32 @@ pub fn run_topology_sweep(
     opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> TopologySweep {
-    let workload = spec.workload(spec.distributions[0]);
-    let num_procs = spec.processors[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
-    let topologies: Vec<TopologyKind> = spec.topologies.clone();
-    let nt = topologies.len();
-
-    let trial_particles: Vec<OnceLock<Vec<Point2>>> =
-        (0..spec.trials).map(|_| OnceLock::new()).collect();
-    let mut cells = Vec::with_capacity(spec.trials as usize * 4);
-    for t in 0..spec.trials {
-        let particles = &trial_particles[t as usize];
-        for &curve in spec.particle_curves.iter() {
-            let name = format!("t{t}/{}", curve.short_name());
-            let workload = &workload;
-            let topologies = &topologies;
-            cells.push(BatchCell::new(name, move || {
-                let particles =
-                    timing::phase("sample", || particles.get_or_init(|| workload.particles(t)));
-                let asg = timing::phase("assign", || {
-                    crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
-                });
-                let tree = timing::phase("index", || OwnerTree::build(&asg));
-                let mut values = Vec::with_capacity(2 * nt);
-                for &topo in topologies {
-                    let machine = timing::phase("machine", || {
-                        crate::harness::machine(opts, topo, num_procs, curve)
-                    });
-                    values.push(timing::phase("nfi", || {
-                        nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                    }));
-                    values.push(timing::phase("ffi", || {
-                        ffi_acd_with_tree(&asg, &machine, &tree)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                    }));
-                }
-                values
-            }));
-        }
-    }
-
-    let mut nfi = vec![vec![Vec::new(); 4]; nt];
-    let mut ffi = vec![vec![Vec::new(); 4]; nt];
-    for (i, result) in runner.run_cells(cells).iter().enumerate() {
-        let ci = i % 4;
-        if let Some(values) = result.values() {
-            for ti in 0..nt {
-                nfi[ti][ci].push(values[2 * ti]);
-                ffi[ti][ci].push(values[2 * ti + 1]);
-            }
-        }
-    }
-    let collect = |data: Vec<Vec<Vec<f64>>>| -> Vec<Vec<Option<Stats>>> {
-        data.into_iter()
-            .map(|row| row.iter().map(|s| Stats::try_from_samples(s).ok()).collect())
-            .collect()
+    let pipeline = Pipeline {
+        opts,
+        machines: Machines::Build(&spec.topologies),
+        measure: Measure::NfiFfi,
+        radius: spec.radii[0],
+        norm: spec.norm,
     };
+    let particles = TrialCache::new(spec.workload(spec.distributions[0]), spec.trials);
+    let mut cells = Vec::new();
+    for t in 0..spec.trials {
+        for &curve in &spec.particle_curves {
+            let particles = &particles;
+            cells.push(BatchCell::try_new(
+                format!("t{t}/{}", curve.short_name()),
+                move || pipeline.measure_cell(particles, t, curve, spec.processors[0]),
+            ));
+        }
+    }
+    let (nt, nc) = (spec.topologies.len(), spec.particle_curves.len());
+    let [nfi, ffi] = fold(&runner.run_cells(cells), nt, nc, |i, v| {
+        [v % 2, v / 2, i % nc]
+    });
     TopologySweep {
-        topologies,
-        nfi: collect(nfi),
-        ffi: collect(ffi),
+        topologies: spec.topologies.clone(),
+        nfi,
+        ffi,
     }
 }
 
@@ -216,8 +173,7 @@ pub fn render_topology(sweep: &TopologySweep, near_field: bool) -> Table {
     for (ci, &curve) in CurveKind::PAPER.iter().enumerate() {
         let mut row = vec![curve.name().to_string()];
         row.extend(
-            (0..sweep.topologies.len())
-                .map(|ti| fmt_cell(data[ti][ci].as_ref().map(|s| s.mean))),
+            (0..sweep.topologies.len()).map(|ti| fmt_cell(data[ti][ci].as_ref().map(|s| s.mean))),
         );
         table.push_row(row);
     }
@@ -250,71 +206,37 @@ pub fn run_processor_sweep(
     opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> ProcessorSweep {
-    let workload = spec.workload(spec.distributions[0]);
+    let pipeline = Pipeline {
+        opts,
+        machines: Machines::Build(&spec.topologies[..1]),
+        measure: Measure::NfiFfi,
+        radius: spec.radii[0],
+        norm: spec.norm,
+    };
+    let particles = TrialCache::new(spec.workload(spec.distributions[0]), spec.trials);
     // Paper scale: 256 .. 65,536 processors, shifted down with the
     // workload; the spec carries the resolved list in ascending order.
-    let processors = spec.processors.clone();
-    let topology = spec.topologies[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
-
-    let trial_particles: Vec<OnceLock<Vec<Point2>>> =
-        (0..spec.trials).map(|_| OnceLock::new()).collect();
-    let np = processors.len();
-    let mut cells = Vec::with_capacity(spec.trials as usize * 4 * np);
+    let processors = &spec.processors;
+    let mut cells = Vec::new();
     for t in 0..spec.trials {
-        let particles = &trial_particles[t as usize];
-        for &curve in spec.particle_curves.iter() {
-            for &procs in &processors {
+        for &curve in &spec.particle_curves {
+            for &procs in processors {
                 let name = format!("t{t}/{}/p{procs}", curve.short_name());
-                let workload = &workload;
-                cells.push(BatchCell::new(name, move || {
-                    let particles = timing::phase("sample", || {
-                        particles.get_or_init(|| workload.particles(t))
-                    });
-                    let asg = timing::phase("assign", || {
-                        crate::harness::assignment(opts, particles, workload.grid_order, curve, procs)
-                    });
-                    let tree = timing::phase("index", || OwnerTree::build(&asg));
-                    let machine = timing::phase("machine", || {
-                        crate::harness::machine(opts, topology, procs, curve)
-                    });
-                    vec![
-                        timing::phase("nfi", || {
-                            nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                        }),
-                        timing::phase("ffi", || {
-                            ffi_acd_with_tree(&asg, &machine, &tree)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                        }),
-                    ]
+                let particles = &particles;
+                cells.push(BatchCell::try_new(name, move || {
+                    pipeline.measure_cell(particles, t, curve, procs)
                 }));
             }
         }
     }
-
-    let mut nfi = vec![vec![Vec::new(); 4]; np];
-    let mut ffi = vec![vec![Vec::new(); 4]; np];
-    for (i, result) in runner.run_cells(cells).iter().enumerate() {
-        let ci = (i / np) % 4;
-        let pi = i % np;
-        if let Some(values) = result.values() {
-            nfi[pi][ci].push(values[0]);
-            ffi[pi][ci].push(values[1]);
-        }
-    }
-    let collect = |data: Vec<Vec<Vec<f64>>>| -> Vec<Vec<Option<Stats>>> {
-        data.into_iter()
-            .map(|row| row.iter().map(|s| Stats::try_from_samples(s).ok()).collect())
-            .collect()
-    };
+    let (np, nc) = (processors.len(), spec.particle_curves.len());
+    let [nfi, ffi] = fold(&runner.run_cells(cells), np, nc, |i, v| {
+        [v, i % np, (i / np) % nc]
+    });
     ProcessorSweep {
-        processors,
-        nfi: collect(nfi),
-        ffi: collect(ffi),
+        processors: processors.clone(),
+        nfi,
+        ffi,
     }
 }
 
@@ -328,7 +250,10 @@ pub fn render_processors(sweep: &ProcessorSweep, near_field: bool) -> Table {
     };
     let mut header = vec!["Processors"];
     header.extend(CurveKind::PAPER.iter().map(|c| c.name()));
-    let mut table = Table::new(format!("Figure 7({tag}) — ACD vs processors (torus)"), &header);
+    let mut table = Table::new(
+        format!("Figure 7({tag}) — ACD vs processors (torus)"),
+        &header,
+    );
     for (pi, &procs) in sweep.processors.iter().enumerate() {
         let mut row = vec![procs.to_string()];
         row.extend((0..4).map(|ci| fmt_cell(data[pi][ci].as_ref().map(|s| s.mean))));
@@ -341,25 +266,57 @@ pub fn render_processors(sweep: &ProcessorSweep, near_field: bool) -> Table {
 // Section VI-C parametric studies
 // ---------------------------------------------------------------------------
 
-/// Per-trial particle sets of one workload, sampled lazily so replayed
-/// cells cost nothing. Thread-safe: the cells of one trial may run on
-/// different workers, and whichever asks first samples the set.
-struct TrialCache<'a> {
-    workload: &'a Workload,
-    sets: Vec<OnceLock<Vec<Point2>>>,
+/// One row of a Section VI-C study: its cells are named
+/// `{cell}/{curve}/t{trial}`, and its table row starts with `label`.
+struct StudyRow<'a> {
+    cell: String,
+    label: String,
+    particles: &'a TrialCache,
+    radius: u32,
 }
 
-impl<'a> TrialCache<'a> {
-    fn new(workload: &'a Workload, trials: u64) -> Self {
-        TrialCache {
-            workload,
-            sets: (0..trials).map(|_| OnceLock::new()).collect(),
+/// Run one Section VI-C study on the torus with tied curves: a cell per
+/// (row, curve, trial) measuring `measure`, and per row its label followed
+/// by the mean of each of the `K` measured kernels per curve — the NFI
+/// columns, then the FFI columns.
+fn run_study<const K: usize>(
+    spec: &ExperimentSpec,
+    opts: &ComputeOpts,
+    runner: &mut SweepRunner,
+    measure: Measure,
+    mut table: Table,
+    rows: &[StudyRow],
+) -> Table {
+    let mut cells = Vec::new();
+    for row in rows {
+        let pipeline = Pipeline {
+            opts,
+            machines: Machines::Build(&[TopologyKind::Torus]),
+            measure,
+            radius: row.radius,
+            norm: spec.norm,
+        };
+        for &curve in &spec.particle_curves {
+            for t in 0..spec.trials {
+                let name = format!("{}/{}/t{t}", row.cell, curve.short_name());
+                cells.push(BatchCell::try_new(name, move || {
+                    pipeline.measure_cell(row.particles, t, curve, spec.processors[0])
+                }));
+            }
         }
     }
-
-    fn get(&self, t: u64) -> &[Point2] {
-        self.sets[t as usize].get_or_init(|| self.workload.particles(t))
+    let (nc, trials) = (spec.particle_curves.len(), spec.trials as usize);
+    let grids: [Grid; K] = fold(&runner.run_cells(cells), rows.len(), nc, |i, v| {
+        [v, i / (nc * trials), (i / trials) % nc]
+    });
+    for (r, row) in rows.iter().enumerate() {
+        let mut cells = vec![row.label.clone()];
+        for grid in &grids {
+            cells.extend(grid[r].iter().map(|s| fmt_cell(s.map(|s| s.mean))));
+        }
+        table.push_row(cells);
     }
+    table
 }
 
 /// NFI ACD as the neighborhood radius varies (torus, tied curves).
@@ -369,55 +326,21 @@ pub fn run_radius_sweep(
     opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> Table {
-    let radii = &spec.radii;
-    let workload = spec.workload(spec.distributions[0]);
-    let num_procs = spec.processors[0];
-    let norm = spec.norm;
-    let cache = TrialCache::new(&workload, spec.trials);
-    let mut cells = Vec::with_capacity(radii.len() * 4 * spec.trials as usize);
-    for &radius in radii {
-        for &curve in &spec.particle_curves {
-            for t in 0..spec.trials {
-                let name = format!("r{radius}/{}/t{t}", curve.short_name());
-                let cache = &cache;
-                let workload = &workload;
-                cells.push(BatchCell::new(name, move || {
-                    let particles = timing::phase("sample", || cache.get(t));
-                    let asg = timing::phase("assign", || {
-                        crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
-                    });
-                    let machine = timing::phase("machine", || {
-                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve)
-                    });
-                    vec![timing::phase("nfi", || {
-                        nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                    })]
-                }));
-            }
-        }
-    }
-    let results = runner.run_cells(cells);
-
+    let particles = TrialCache::new(spec.workload(spec.distributions[0]), spec.trials);
+    let rows: Vec<StudyRow> = spec
+        .radii
+        .iter()
+        .map(|&radius| StudyRow {
+            cell: format!("r{radius}"),
+            label: radius.to_string(),
+            particles: &particles,
+            radius,
+        })
+        .collect();
     let mut header = vec!["Radius"];
     header.extend(CurveKind::PAPER.iter().map(|c| c.name()));
-    let mut table = Table::new("Section VI-C — NFI ACD vs neighborhood radius", &header);
-    let mut it = results.chunks(spec.trials as usize);
-    for &radius in radii {
-        let mut row = vec![radius.to_string()];
-        for _curve in &CurveKind::PAPER {
-            let acds = collect_first_values(it.next().unwrap());
-            row.push(fmt_cell(mean_of(&acds)));
-        }
-        table.push_row(row);
-    }
-    table
-}
-
-/// First value of every completed cell in a chunk of batch results.
-fn collect_first_values(results: &[CellResult]) -> Vec<f64> {
-    results.iter().filter_map(|r| r.values().map(|v| v[0])).collect()
+    let table = Table::new("Section VI-C — NFI ACD vs neighborhood radius", &header);
+    run_study::<1>(spec, opts, runner, Measure::Nfi, table, &rows)
 }
 
 /// ACD as the input size varies at a fixed processor count (torus, tied
@@ -428,81 +351,39 @@ pub fn run_input_size_sweep(
     opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> Table {
-    let sizes: Vec<usize> = spec.particle_counts.iter().map(|&n| n as usize).collect();
     let base = spec.workload(spec.distributions[0]);
-    let num_procs = spec.processors[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
-    let mut owned_headers: Vec<String> = vec!["Particles".into()];
-    for c in &CurveKind::PAPER {
-        owned_headers.push(c.short_name().to_string());
-    }
-    for c in &CurveKind::PAPER {
-        owned_headers.push(format!("{} (FFI)", c.short_name()));
-    }
-    let header_refs: Vec<&str> = owned_headers.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new(
-        "Section VI-C — ACD vs input size (NFI columns then FFI columns)",
-        &header_refs,
+    let caches: Vec<TrialCache> = spec
+        .particle_counts
+        .iter()
+        .map(|&n| {
+            let workload = Workload::new(base.grid_order, n as usize, base.dist, base.seed);
+            TrialCache::new(workload, spec.trials)
+        })
+        .collect();
+    let rows: Vec<StudyRow> = spec
+        .particle_counts
+        .iter()
+        .zip(&caches)
+        .map(|(&n, particles)| StudyRow {
+            cell: format!("n{n}"),
+            label: n.to_string(),
+            particles,
+            radius: spec.radii[0],
+        })
+        .collect();
+    let mut header: Vec<String> = vec!["Particles".into()];
+    header.extend(CurveKind::PAPER.iter().map(|c| c.short_name().to_string()));
+    header.extend(
+        CurveKind::PAPER
+            .iter()
+            .map(|c| format!("{} (FFI)", c.short_name())),
     );
-    let workloads: Vec<Workload> = sizes
-        .iter()
-        .map(|&n| Workload::new(base.grid_order, n, base.dist, base.seed))
-        .collect();
-    let caches: Vec<TrialCache> = workloads
-        .iter()
-        .map(|w| TrialCache::new(w, spec.trials))
-        .collect();
-    let mut cells = Vec::with_capacity(sizes.len() * 4 * spec.trials as usize);
-    for (si, &n) in sizes.iter().enumerate() {
-        for &curve in &spec.particle_curves {
-            for t in 0..spec.trials {
-                let name = format!("n{n}/{}/t{t}", curve.short_name());
-                let cache = &caches[si];
-                let workload = &workloads[si];
-                cells.push(BatchCell::new(name, move || {
-                    let particles = timing::phase("sample", || cache.get(t));
-                    let asg = timing::phase("assign", || {
-                        crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
-                    });
-                    let tree = timing::phase("index", || OwnerTree::build(&asg));
-                    let machine = timing::phase("machine", || {
-                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve)
-                    });
-                    vec![
-                        timing::phase("nfi", || {
-                            nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                        }),
-                        timing::phase("ffi", || {
-                            ffi_acd_with_tree(&asg, &machine, &tree)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                        }),
-                    ]
-                }));
-            }
-        }
-    }
-    let results = runner.run_cells(cells);
-
-    let mut it = results.chunks(spec.trials as usize);
-    for &n in &sizes {
-        let mut row = vec![n.to_string()];
-        let mut ffi_cols = Vec::with_capacity(4);
-        for _curve in &CurveKind::PAPER {
-            let chunk = it.next().unwrap();
-            let nfi_s = collect_first_values(chunk);
-            let ffi_s: Vec<f64> =
-                chunk.iter().filter_map(|r| r.values().map(|v| v[1])).collect();
-            row.push(fmt_cell(mean_of(&nfi_s)));
-            ffi_cols.push(fmt_cell(mean_of(&ffi_s)));
-        }
-        row.extend(ffi_cols);
-        table.push_row(row);
-    }
-    table
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    let table = Table::new(
+        "Section VI-C — ACD vs input size (NFI columns then FFI columns)",
+        &header,
+    );
+    run_study::<2>(spec, opts, runner, Measure::NfiFfi, table, &rows)
 }
 
 /// ACD per distribution at the Table I/II configuration with tied curves —
@@ -514,78 +395,36 @@ pub fn run_distribution_comparison(
     opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> Table {
-    let num_procs = spec.processors[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
-    let mut owned: Vec<String> = vec!["Distribution".into()];
-    for c in &CurveKind::PAPER {
-        owned.push(format!("{} (NFI)", c.short_name()));
-    }
-    for c in &CurveKind::PAPER {
-        owned.push(format!("{} (FFI)", c.short_name()));
-    }
-    let header: Vec<&str> = owned.iter().map(|s| s.as_str()).collect();
-    let mut table = Table::new("Section VI-C — ACD by input distribution (tied curves)", &header);
-    let workloads: Vec<Workload> = spec
+    let caches: Vec<TrialCache> = spec
         .distributions
         .iter()
-        .map(|&dist| spec.workload(dist))
+        .map(|&dist| TrialCache::new(spec.workload(dist), spec.trials))
         .collect();
-    let caches: Vec<TrialCache> = workloads
+    let rows: Vec<StudyRow> = spec
+        .distributions
         .iter()
-        .map(|w| TrialCache::new(w, spec.trials))
+        .zip(&caches)
+        .map(|(dist, particles)| StudyRow {
+            cell: dist.kind.to_string(),
+            label: dist.kind.to_string(),
+            particles,
+            radius: spec.radii[0],
+        })
         .collect();
-    let mut cells =
-        Vec::with_capacity(spec.distributions.len() * 4 * spec.trials as usize);
-    for (di, dist) in spec.distributions.iter().enumerate() {
-        for &curve in &spec.particle_curves {
-            for t in 0..spec.trials {
-                let name = format!("{}/{}/t{t}", dist.kind, curve.short_name());
-                let cache = &caches[di];
-                let workload = &workloads[di];
-                cells.push(BatchCell::new(name, move || {
-                    let particles = timing::phase("sample", || cache.get(t));
-                    let asg = timing::phase("assign", || {
-                        crate::harness::assignment(opts, particles, workload.grid_order, curve, num_procs)
-                    });
-                    let tree = timing::phase("index", || OwnerTree::build(&asg));
-                    let machine = timing::phase("machine", || {
-                        crate::harness::machine(opts, TopologyKind::Torus, num_procs, curve)
-                    });
-                    vec![
-                        timing::phase("nfi", || {
-                            nfi_acd(&asg, &machine, radius, norm)
-                            .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                            .acd()
-                        }),
-                        timing::phase("ffi", || {
-                            ffi_acd_with_tree(&asg, &machine, &tree)
-                            .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                            .acd()
-                        }),
-                    ]
-                }));
-            }
-        }
+    let mut header: Vec<String> = vec!["Distribution".into()];
+    for kernel in ["NFI", "FFI"] {
+        header.extend(
+            CurveKind::PAPER
+                .iter()
+                .map(|c| format!("{} ({kernel})", c.short_name())),
+        );
     }
-    let results = runner.run_cells(cells);
-
-    let mut it = results.chunks(spec.trials as usize);
-    for dist in &spec.distributions {
-        let mut nfi_row = vec![dist.kind.name().to_string()];
-        let mut ffi_row = Vec::with_capacity(4);
-        for _curve in &CurveKind::PAPER {
-            let chunk = it.next().unwrap();
-            let nfi_s = collect_first_values(chunk);
-            let ffi_s: Vec<f64> =
-                chunk.iter().filter_map(|r| r.values().map(|v| v[1])).collect();
-            nfi_row.push(fmt_cell(mean_of(&nfi_s)));
-            ffi_row.push(fmt_cell(mean_of(&ffi_s)));
-        }
-        nfi_row.extend(ffi_row);
-        table.push_row(nfi_row);
-    }
-    table
+    let header: Vec<&str> = header.iter().map(String::as_str).collect();
+    let table = Table::new(
+        "Section VI-C — ACD by input distribution (tied curves)",
+        &header,
+    );
+    run_study::<2>(spec, opts, runner, Measure::NfiFfi, table, &rows)
 }
 
 #[cfg(test)]
@@ -661,6 +500,23 @@ mod tests {
         spec.radii = vec![1, 2];
         let table = run_radius_sweep(&spec, &opts(), &mut SweepRunner::ephemeral());
         assert_eq!(table.num_rows(), 2);
+    }
+
+    #[test]
+    fn zero_radius_cells_fail_once_and_render_missing() {
+        let mut spec = tiny_spec(sfc_core::ArtifactKind::Parametric);
+        spec.radii = vec![0, 1];
+        let mut runner = SweepRunner::ephemeral();
+        let table = run_radius_sweep(&spec, &opts(), &mut runner);
+        assert_eq!(table.rows()[0], ["0", "—", "—", "—", "—"]);
+        assert!(table.rows()[1][1..].iter().all(|v| v != "—"));
+        let summary = runner.finish();
+        assert_eq!(summary.failed.len(), 4);
+        for f in &summary.failed {
+            assert!(f.cell.starts_with("r0/"), "{}", f.cell);
+            assert_eq!(f.error, sfc_core::SfcError::ZeroRadius.to_string());
+            assert_eq!(f.attempts, 1, "{}: a typed error is not retried", f.cell);
+        }
     }
 
     #[test]

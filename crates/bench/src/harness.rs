@@ -13,11 +13,7 @@ use crate::args::SweepArgs;
 use crate::artifact::{compute, ArtifactOutput, ComputeOpts};
 use serde_json::{json, ToJson, Value};
 use sfc_core::runner::{ChaosInjector, RunnerOptions, SweepRunner, SweepSummary};
-use sfc_core::{
-    ArtifactKind, Assignment, CachedArtifact, ExperimentSpec, Machine, ResultCache, TraceSink,
-};
-use sfc_curves::{CurveKind, Point2};
-use sfc_topology::TopologyKind;
+use sfc_core::{ArtifactKind, CachedArtifact, ExperimentSpec, ResultCache, TraceSink};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -101,34 +97,6 @@ pub fn runner(sweep: &str, args: &SweepArgs) -> SweepRunner {
             std::process::exit(2);
         }
     }
-}
-
-/// Build a machine for a sweep cell, honoring `--no-oracle`: the default
-/// machine precomputes the dense hop-distance oracle, the flag falls back
-/// to closed-form distances. Both produce identical values — the flag
-/// exists for ablation and byte-identity verification.
-pub fn machine(opts: &ComputeOpts, topo: TopologyKind, num_procs: u64, curve: CurveKind) -> Machine {
-    let m = Machine::new(topo, num_procs, curve);
-    if opts.no_oracle {
-        m.without_oracle()
-    } else {
-        m
-    }
-}
-
-/// Build an assignment for a sweep cell, honoring `--no-dense-grid`: the
-/// default assignment carries the dense occupancy index, the flag keeps
-/// only the sparse cell map. Both produce identical values — the flag
-/// exists for ablation and byte-identity verification, mirroring
-/// [`machine`].
-pub fn assignment(
-    opts: &ComputeOpts,
-    particles: &[Point2],
-    grid_order: u32,
-    curve: CurveKind,
-    num_ranks: u64,
-) -> Assignment {
-    Assignment::with_dense_grid(particles, grid_order, curve, num_ranks, !opts.no_dense_grid)
 }
 
 /// Write the per-cell timing envelope to `--timing PATH` when set. Called

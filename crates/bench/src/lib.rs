@@ -28,6 +28,7 @@
 
 pub mod args;
 pub mod artifact;
+mod cell;
 pub mod extensions;
 pub mod figures;
 pub mod harness;

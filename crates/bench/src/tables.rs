@@ -15,15 +15,12 @@
 //! machines, so the work sharing matches the original monolithic loop.
 
 use crate::artifact::ComputeOpts;
-use sfc_core::ffi::{ffi_acd_with_tree, OwnerTree};
-use sfc_core::nfi::nfi_acd;
+use crate::cell::{fold, Grid, Machines, Measure, Pipeline, TrialCache};
 use sfc_core::report::Table;
 use sfc_core::runner::{BatchCell, SweepRunner};
-use sfc_core::timing;
 use sfc_core::{ExperimentSpec, Machine, Stats};
 use sfc_curves::CurveKind;
 use sfc_particles::{Distribution, DistributionKind};
-use std::sync::OnceLock;
 
 /// Results of the 4 × 4 curve-pair grid for one distribution:
 /// `values[processor_curve][particle_curve]`. A cell is `None` when every
@@ -71,9 +68,7 @@ pub fn run_distribution(
 fn machines(spec: &ExperimentSpec, opts: &ComputeOpts) -> Vec<Machine> {
     spec.effective_processor_curves()
         .iter()
-        .map(|&proc_curve| {
-            crate::harness::machine(opts, spec.topologies[0], spec.processors[0], proc_curve)
-        })
+        .map(|&curve| crate::cell::machine(opts, spec.topologies[0], spec.processors[0], curve))
         .collect()
 }
 
@@ -85,83 +80,35 @@ fn run_grid(
     machines: &[Machine],
     runner: &mut SweepRunner,
 ) -> CurvePairGrid {
-    let workload = spec.workload(dist);
-    let num_procs = spec.processors[0];
-    let radius = spec.radii[0];
-    let norm = spec.norm;
-
-    // Per-trial particle sets, sampled lazily and shared by the trial's
-    // four cells (which may run on different worker threads): a fully
-    // replayed trial never materializes its particles.
-    let trial_particles: Vec<OnceLock<Vec<sfc_curves::point::Point2>>> =
-        (0..spec.trials).map(|_| OnceLock::new()).collect();
-    let mut cells = Vec::with_capacity(spec.trials as usize * 4);
+    let pipeline = Pipeline {
+        opts,
+        machines: Machines::Shared(machines),
+        measure: Measure::NfiFfi,
+        radius: spec.radii[0],
+        norm: spec.norm,
+    };
+    // A trial's particles are sampled once, by the first of its cells to
+    // run; a fully replayed trial never samples them.
+    let particles = TrialCache::new(spec.workload(dist), spec.trials);
+    let mut cells = Vec::new();
     for t in 0..spec.trials {
-        let particles = &trial_particles[t as usize];
-        for &particle_curve in spec.particle_curves.iter() {
-            let name = format!("{}/t{t}/{}", dist.kind, particle_curve.short_name());
-            let workload = &workload;
-            cells.push(BatchCell::new(name, move || {
-                // Phase markers feed the `--timing` envelope; "sample" is
-                // only paid by the first of a trial's four cells (the rest
-                // hit the OnceLock).
-                let particles =
-                    timing::phase("sample", || particles.get_or_init(|| workload.particles(t)));
-                let asg = timing::phase("assign", || {
-                    crate::harness::assignment(
-                        opts,
-                        particles,
-                        workload.grid_order,
-                        particle_curve,
-                        num_procs,
-                    )
-                });
-                let tree = timing::phase("index", || OwnerTree::build(&asg));
-                let mut values = Vec::with_capacity(8);
-                timing::phase("nfi", || {
-                    for machine in machines {
-                        values.push(
-                            nfi_acd(&asg, machine, radius, norm)
-                                .unwrap_or_else(|e| panic!("nfi_acd: {e}"))
-                                .acd(),
-                        );
-                    }
-                });
-                timing::phase("ffi", || {
-                    for machine in machines {
-                        values.push(
-                            ffi_acd_with_tree(&asg, machine, &tree)
-                                .unwrap_or_else(|e| panic!("ffi_acd: {e}"))
-                                .acd(),
-                        );
-                    }
-                });
-                values
+        for &curve in &spec.particle_curves {
+            let name = format!("{}/t{t}/{}", dist.kind, curve.short_name());
+            let particles = &particles;
+            cells.push(BatchCell::try_new(name, move || {
+                pipeline.measure_cell(particles, t, curve, spec.processors[0])
             }));
         }
     }
-
-    let mut nfi_samples = vec![vec![Vec::new(); 4]; 4];
-    let mut ffi_samples = vec![vec![Vec::new(); 4]; 4];
-    for (i, result) in runner.run_cells(cells).iter().enumerate() {
-        let pi = i % 4;
-        if let Some(values) = result.values() {
-            for ri in 0..4 {
-                nfi_samples[ri][pi].push(values[ri]);
-                ffi_samples[ri][pi].push(values[4 + ri]);
-            }
-        }
-    }
-
-    let collect = |samples: &Vec<Vec<Vec<f64>>>| -> [[Option<Stats>; 4]; 4] {
-        std::array::from_fn(|ri| {
-            std::array::from_fn(|pi| Stats::try_from_samples(&samples[ri][pi]).ok())
-        })
-    };
+    let (nm, nc) = (machines.len(), spec.particle_curves.len());
+    let [nfi, ffi] = fold(&runner.run_cells(cells), nm, nc, |i, v| {
+        [v / nm, v % nm, i % nc]
+    });
+    let square = |g: Grid| std::array::from_fn(|r| std::array::from_fn(|p| g[r][p]));
     CurvePairGrid {
         distribution: dist.kind,
-        nfi: collect(&nfi_samples),
-        ffi: collect(&ffi_samples),
+        nfi: square(nfi),
+        ffi: square(ffi),
     }
 }
 
@@ -189,7 +136,11 @@ pub fn render_grid(grid: &CurvePairGrid, which: Interaction) -> Table {
     let mut table = Table::new(title, &header);
 
     let means: Vec<Vec<Option<f64>>> = (0..4)
-        .map(|r| (0..4).map(|p| values[r][p].as_ref().map(|s| s.mean)).collect())
+        .map(|r| {
+            (0..4)
+                .map(|p| values[r][p].as_ref().map(|s| s.mean))
+                .collect()
+        })
         .collect();
     let min_of = |it: &mut dyn Iterator<Item = Option<f64>>| -> f64 {
         it.flatten().fold(f64::INFINITY, f64::min)

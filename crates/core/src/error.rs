@@ -45,11 +45,13 @@ pub enum SfcError {
         /// The offending node count.
         nodes: u64,
     },
-    /// A sweep cell kept panicking after the bounded retries.
+    /// A sweep cell returned a typed error, or kept panicking after the
+    /// bounded retries.
     CellFailed {
         /// Cell name.
         cell: String,
-        /// The captured panic message of the final attempt.
+        /// The cell's typed error, or the captured panic message of its
+        /// final attempt.
         error: String,
         /// How many attempts were made.
         attempts: u32,
@@ -94,6 +96,24 @@ pub enum SfcError {
     OracleDistanceOverflow {
         /// The topology diameter that overflowed.
         diameter: u64,
+    },
+    /// An axis the artifact's driver reads its first entry from is empty.
+    EmptyAxis {
+        /// The artifact the spec regenerates.
+        artifact: &'static str,
+        /// The empty axis.
+        axis: &'static str,
+    },
+    /// A curve list the artifact's renderer cannot label: its columns are
+    /// a fixed curve order, and a processor order tied to the particle
+    /// order has no column at all.
+    UnlabelledCurves {
+        /// The artifact the spec regenerates.
+        artifact: &'static str,
+        /// The offending curve axis.
+        axis: &'static str,
+        /// What the renderer can label on that axis.
+        expected: &'static str,
     },
     /// A whole-artifact computation panicked (outside the per-cell retry
     /// machinery — e.g. in a daemon's `compute_artifact` leader). The panic
@@ -154,6 +174,14 @@ impl std::fmt::Display for SfcError {
                 "topology diameter {diameter} exceeds the distance oracle's \
                  u16 range"
             ),
+            SfcError::EmptyAxis { artifact, axis } => {
+                write!(f, "{artifact} needs at least one entry in `{axis}`")
+            }
+            SfcError::UnlabelledCurves {
+                artifact,
+                axis,
+                expected,
+            } => write!(f, "{artifact} cannot label `{axis}`: it must be {expected}"),
             SfcError::ComputePanicked { message } => {
                 write!(f, "artifact computation panicked: {message}")
             }
@@ -217,6 +245,20 @@ mod tests {
 
         let e = SfcError::OracleDistanceOverflow { diameter: 70_000 };
         assert!(e.to_string().contains("70000"));
+
+        let e = SfcError::EmptyAxis {
+            artifact: "figure7",
+            axis: "radii",
+        };
+        assert!(e.to_string().contains("figure7") && e.to_string().contains("`radii`"));
+
+        let e = SfcError::UnlabelledCurves {
+            artifact: "table1",
+            axis: "particle_curves",
+            expected: "[Hilbert, Z, Gray, RowMajor]",
+        };
+        let msg = e.to_string();
+        assert!(msg.contains("table1") && msg.contains("`particle_curves`"));
 
         let e = SfcError::ComputePanicked {
             message: "index out of bounds".into(),

@@ -35,8 +35,8 @@ use std::path::{Path, PathBuf};
 pub enum CellOutcome {
     /// The cell completed and produced these values.
     Ok(Vec<f64>),
-    /// The cell panicked on every attempt; the error is recorded so the
-    /// sweep can report it instead of aborting.
+    /// The cell returned a typed error or panicked on every attempt; the
+    /// error is recorded so the sweep can report it instead of aborting.
     Failed {
         /// Captured panic message of the final attempt.
         error: String,

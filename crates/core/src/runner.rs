@@ -4,7 +4,8 @@
 //! `(configuration, trial)` unit each. Cells are submitted in batches
 //! ([`SweepRunner::run_cells`]) and executed on a pool of worker threads
 //! (`--jobs`); each cell runs under [`std::panic::catch_unwind`] with
-//! bounded deterministic retries, is journaled as it completes (see
+//! bounded deterministic retries of panics (a typed [`SfcError`] the cell
+//! returns fails it on the first attempt), is journaled as it completes (see
 //! [`crate::journal`]), and is replayed from the journal on restart so
 //! interrupted sweeps resume instead of recomputing. A wall-clock
 //! `time_budget` stops *scheduling* new cells once exhausted (cells in
@@ -21,10 +22,10 @@
 //! count replays correctly at any other (replay is by cell name, not byte
 //! offset).
 //!
-//! Cells that still panic after the retries become structured
-//! [`SfcError::CellFailed`] values in the [`SweepSummary`] — the sweep keeps
-//! going and reports them at the end, rather than aborting a multi-hour run
-//! on the last configuration. Journal *write* failures are not silently
+//! Cells that return a typed error, or still panic after the retries,
+//! become structured [`SfcError::CellFailed`] values in the
+//! [`SweepSummary`] — the sweep keeps going and reports them at the end,
+//! rather than aborting a multi-hour run on the last configuration. Journal *write* failures are not silently
 //! swallowed: the summary records a `journal_degraded` flag on the first
 //! failed write, and once [`MAX_JOURNAL_WRITE_FAILURES`] consecutive writes
 //! fail the journal is declared dead and every subsequent cell returns a
@@ -113,9 +114,9 @@ pub enum CellResult {
     Computed(Vec<f64>),
     /// Replayed from the journal without recomputation.
     Replayed(Vec<f64>),
-    /// Panicked on every attempt ([`SfcError::CellFailed`]), or refused
-    /// because the journal died ([`SfcError::JournalIo`]); the sweep
-    /// continues without it.
+    /// Returned a typed error or panicked on every attempt
+    /// ([`SfcError::CellFailed`]), or refused because the journal died
+    /// ([`SfcError::JournalIo`]); the sweep continues without it.
     Failed(SfcError),
     /// Not started: the time budget was exhausted.
     Skipped,
@@ -138,12 +139,22 @@ impl CellResult {
 /// thread computes them.
 pub struct BatchCell<'s> {
     name: String,
-    work: Box<dyn Fn() -> Vec<f64> + Send + Sync + 's>,
+    work: Box<dyn Fn() -> Result<Vec<f64>, SfcError> + Send + Sync + 's>,
 }
 
 impl<'s> BatchCell<'s> {
-    /// Package one named cell.
+    /// Package one named infallible cell.
     pub fn new<F: Fn() -> Vec<f64> + Send + Sync + 's>(name: impl Into<String>, work: F) -> Self {
+        Self::try_new(name, move || Ok(work()))
+    }
+
+    /// Package one named fallible cell. An `Err` is deterministic — the
+    /// same inputs give the same error — so it fails the cell on its first
+    /// attempt; only panics are retried.
+    pub fn try_new<F>(name: impl Into<String>, work: F) -> Self
+    where
+        F: Fn() -> Result<Vec<f64>, SfcError> + Send + Sync + 's,
+    {
         BatchCell {
             name: name.into(),
             work: Box::new(work),
@@ -167,8 +178,8 @@ impl std::fmt::Debug for BatchCell<'_> {
 pub struct FailedCell {
     /// Cell name.
     pub cell: String,
-    /// Captured panic message of the final attempt, or the journal error
-    /// that refused the cell.
+    /// The cell's typed error, the captured panic message of its final
+    /// attempt, or the journal error that refused it.
     pub error: String,
     /// Attempts made (0 when the cell never ran).
     pub attempts: u32,
@@ -181,8 +192,8 @@ pub struct SweepSummary {
     pub computed: usize,
     /// Cells replayed from the journal.
     pub replayed: usize,
-    /// Cells that failed after retries (this run or a journaled one), or
-    /// were refused because the journal died.
+    /// Cells that failed (this run or a journaled one), or were refused
+    /// because the journal died.
     pub failed: Vec<FailedCell>,
     /// Cells never started because the time budget ran out.
     pub skipped: Vec<String>,
@@ -320,7 +331,9 @@ impl BatchCtx<'_, '_> {
             return (CellResult::Skipped, None);
         }
         let mut last_error = String::new();
+        let mut attempts = 0;
         for attempt in 0..self.max_attempts {
+            attempts = attempt + 1;
             let chaos_hit = self
                 .chaos
                 .as_ref()
@@ -337,13 +350,17 @@ impl BatchCtx<'_, '_> {
                 (cell.work)()
             }));
             match result {
-                Ok(values) => {
+                Ok(Ok(values)) => {
                     let cell_timing = CellTiming {
                         wall_ms: attempt_started.elapsed().as_secs_f64() * 1e3,
                         phases: timing::take_recording(),
                     };
                     self.record(&cell.name, CellOutcome::Ok(values.clone()));
                     return (CellResult::Computed(values), Some(cell_timing));
+                }
+                Ok(Err(e)) => {
+                    last_error = e.to_string();
+                    break;
                 }
                 Err(payload) => last_error = panic_message(payload.as_ref()),
             }
@@ -353,14 +370,14 @@ impl BatchCtx<'_, '_> {
             &cell.name,
             CellOutcome::Failed {
                 error: last_error.clone(),
-                attempts: self.max_attempts,
+                attempts,
             },
         );
         (
             CellResult::Failed(SfcError::CellFailed {
                 cell: cell.name.clone(),
                 error: last_error,
-                attempts: self.max_attempts,
+                attempts,
             }),
             None,
         )
@@ -551,6 +568,7 @@ impl SweepRunner {
     /// The closure must be callable repeatedly (retries) and is executed
     /// under [`catch_unwind`](std::panic::catch_unwind); a panic is retried
     /// up to the configured bound, then recorded as a structured failure.
+    /// Fallible cells go through [`run_cells`] with [`BatchCell::try_new`].
     /// The caller decides how to assemble returned values — a [`Skipped`]
     /// or [`Failed`](CellResult::Failed) cell simply contributes no samples.
     ///
@@ -633,6 +651,70 @@ mod tests {
         let summary = r.finish();
         assert_eq!(summary.failed.len(), 1);
         assert_eq!(summary.missing(), vec!["doomed".to_string()]);
+    }
+
+    #[test]
+    fn typed_error_fails_on_the_first_attempt() {
+        let calls = AtomicU32::new(0);
+        let mut r = SweepRunner::ephemeral();
+        let out = r.run_cells(vec![BatchCell::try_new("zero", || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            Err(SfcError::ZeroRadius)
+        })]);
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "a typed error is not retried");
+        match &out[0] {
+            CellResult::Failed(SfcError::CellFailed { error, attempts, .. }) => {
+                assert_eq!(error, &SfcError::ZeroRadius.to_string());
+                assert_eq!(*attempts, 1);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let summary = r.finish();
+        assert_eq!(summary.failed.len(), 1);
+        assert_eq!(summary.failed[0].attempts, 1);
+    }
+
+    #[test]
+    fn panicking_fallible_cell_takes_every_attempt() {
+        let calls = AtomicU32::new(0);
+        let mut r = SweepRunner::ephemeral();
+        let _ = r.run_cells(vec![BatchCell::try_new("bug", || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            panic!("a bug, not a typed error")
+        })]);
+        assert_eq!(calls.load(Ordering::SeqCst), DEFAULT_MAX_ATTEMPTS);
+        assert_eq!(r.finish().failed[0].attempts, DEFAULT_MAX_ATTEMPTS);
+    }
+
+    #[test]
+    fn journaled_typed_error_replays_without_rerun() {
+        let path = temp_path("typed_failure");
+        std::fs::remove_file(&path).ok();
+        let journaled = || {
+            let mut opts = RunnerOptions::new();
+            opts.journal = Some(path.clone());
+            SweepRunner::new("sweep", &Value::Null, opts).unwrap()
+        };
+        let mut r = journaled();
+        let _ = r.run_cells(vec![BatchCell::try_new("zero", || Err(SfcError::ZeroRadius))]);
+        drop(r);
+
+        let calls = AtomicU32::new(0);
+        let mut r = journaled();
+        let out = r.run_cells(vec![BatchCell::try_new("zero", || {
+            calls.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![1.0])
+        })]);
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "replayed, not recomputed");
+        assert!(matches!(
+            &out[0],
+            CellResult::Failed(SfcError::CellFailed { attempts: 1, .. })
+        ));
+        let summary = r.finish();
+        assert_eq!(summary.computed, 0);
+        assert_eq!(summary.failed[0].error, SfcError::ZeroRadius.to_string());
+        assert_eq!(summary.failed[0].attempts, 1);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

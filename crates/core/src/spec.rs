@@ -465,12 +465,14 @@ impl ExperimentSpec {
         out
     }
 
-    /// Check the spec before any work happens, mirroring
+    /// Check the spec before any work happens: the axes the artifact's
+    /// driver indexes and its renderer labels, then
     /// [`AcdExperiment::validate`] across every axis combination.
     pub fn validate(&self) -> Result<(), SfcError> {
         if self.trials == 0 {
             return Err(SfcError::NoTrials);
         }
+        self.check_axes()?;
         for &p in &self.processors {
             if !p.is_power_of_two() || !p.trailing_zeros().is_multiple_of(2) {
                 return Err(SfcError::NonPowerOfFourProcessors { num_processors: p });
@@ -488,6 +490,58 @@ impl ExperimentSpec {
             }
         }
         Ok(())
+    }
+
+    /// Reject axes the artifact's driver cannot run or its renderer cannot
+    /// label: an empty axis the driver reads its first entry from, a
+    /// particle curve list other than the paper's four columns in order
+    /// (the extensions label each row by its curve, so any list renders),
+    /// and a processor curve list other than those columns for Tables I/II
+    /// or other than empty (tied to the particle order) elsewhere.
+    fn check_axes(&self) -> Result<(), SfcError> {
+        use ArtifactKind::*;
+        let artifact = self.artifact.name();
+        let indexed: &[(&'static str, usize)] = match self.artifact {
+            Table1 | Table2 => &[
+                ("topologies", self.topologies.len()),
+                ("processors", self.processors.len()),
+                ("radii", self.radii.len()),
+            ],
+            Figure5 => &[],
+            Figure7 => &[
+                ("distributions", self.distributions.len()),
+                ("topologies", self.topologies.len()),
+                ("radii", self.radii.len()),
+            ],
+            Figure6 | Parametric | Extensions => &[
+                ("distributions", self.distributions.len()),
+                ("processors", self.processors.len()),
+                ("radii", self.radii.len()),
+            ],
+        };
+        if let Some(&(axis, _)) = indexed.iter().find(|(_, len)| *len == 0) {
+            return Err(SfcError::EmptyAxis { artifact, axis });
+        }
+        const PAPER_COLUMNS: &str = "[Hilbert, Z, Gray, RowMajor]";
+        let unlabelled = |axis, expected| SfcError::UnlabelledCurves {
+            artifact,
+            axis,
+            expected,
+        };
+        if self.artifact != Extensions && self.particle_curves != CurveKind::PAPER {
+            return Err(unlabelled("particle_curves", PAPER_COLUMNS));
+        }
+        match self.artifact {
+            Table1 | Table2 if self.effective_processor_curves() != CurveKind::PAPER => {
+                Err(unlabelled("processor_curves", PAPER_COLUMNS))
+            }
+            Table1 | Table2 => Ok(()),
+            _ if !self.processor_curves.is_empty() => Err(unlabelled(
+                "processor_curves",
+                "empty (the processor order is tied to the particle order)",
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// The canonical JSON form: every field present, fixed key order,
@@ -850,6 +904,84 @@ mod tests {
             bad_order.validate(),
             Err(SfcError::OrderTooLarge { order: 40, .. })
         ));
+
+        // Every stock spec validates, at every scale.
+        for artifact in ArtifactKind::ALL {
+            for scale in 0..=9 {
+                let spec = ExperimentSpec::for_artifact(artifact, scale, 1, 7);
+                assert_eq!(spec.validate(), Ok(()), "{artifact} at scale {scale}");
+            }
+        }
+
+        // An empty axis a driver indexes is a typed error per artifact.
+        for (artifact, axis) in [
+            (ArtifactKind::Table1, "processors"),
+            (ArtifactKind::Table2, "topologies"),
+            (ArtifactKind::Table1, "radii"),
+            (ArtifactKind::Figure6, "distributions"),
+            (ArtifactKind::Figure6, "processors"),
+            (ArtifactKind::Figure7, "topologies"),
+            (ArtifactKind::Figure7, "radii"),
+            (ArtifactKind::Parametric, "processors"),
+            (ArtifactKind::Extensions, "distributions"),
+        ] {
+            let mut spec = ExperimentSpec::for_artifact(artifact, 4, 1, 7);
+            match axis {
+                "distributions" => spec.distributions.clear(),
+                "topologies" => spec.topologies.clear(),
+                "processors" => spec.processors.clear(),
+                _ => spec.radii.clear(),
+            }
+            assert_eq!(
+                spec.validate(),
+                Err(SfcError::EmptyAxis {
+                    artifact: artifact.name(),
+                    axis
+                }),
+                "{artifact} without {axis}"
+            );
+        }
+
+        // Curve lists the renderers cannot label.
+        let two = vec![CurveKind::Hilbert, CurveKind::ZCurve];
+        let swapped = vec![
+            CurveKind::ZCurve,
+            CurveKind::Hilbert,
+            CurveKind::Gray,
+            CurveKind::RowMajor,
+        ];
+        let unlabelled = |artifact: ArtifactKind, f: &dyn Fn(&mut ExperimentSpec)| {
+            let mut spec = ExperimentSpec::for_artifact(artifact, 4, 1, 7);
+            f(&mut spec);
+            match spec.validate() {
+                Err(SfcError::UnlabelledCurves { axis, .. }) => axis,
+                other => panic!("{artifact}: unexpected {other:?}"),
+            }
+        };
+        assert_eq!(
+            unlabelled(ArtifactKind::Table1, &|s| s.particle_curves = two.clone()),
+            "particle_curves"
+        );
+        assert_eq!(
+            unlabelled(ArtifactKind::Table2, &|s| s.processor_curves = two.clone()),
+            "processor_curves"
+        );
+        assert_eq!(
+            unlabelled(ArtifactKind::Figure7, &|s| s.particle_curves = swapped.clone()),
+            "particle_curves"
+        );
+        assert_eq!(
+            unlabelled(ArtifactKind::Figure6, &|s| s.processor_curves = two.clone()),
+            "processor_curves"
+        );
+        assert_eq!(
+            unlabelled(ArtifactKind::Figure5, &|s| s.particle_curves = two.clone()),
+            "particle_curves"
+        );
+        // The extensions label every row by its curve, so any list renders.
+        let mut ext = ExperimentSpec::extensions(4, 1, 7);
+        ext.particle_curves = two.clone();
+        assert_eq!(ext.validate(), Ok(()));
     }
 
     #[test]

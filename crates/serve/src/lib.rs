@@ -1691,6 +1691,40 @@ mod tests {
     }
 
     #[test]
+    fn specs_the_drivers_cannot_run_are_invalid_not_computed() {
+        // `--emit-specs` output with one axis edited: curve lists the
+        // renderer would mislabel, and an axis the driver indexes removed.
+        let server = server("unrunnable", ServerOptions::default());
+        let edited = |artifact: ArtifactKind, key: &str, value: Option<Value>| {
+            let spec = ExperimentSpec::for_artifact(artifact, 5, 2, 3).canonical_json();
+            let Value::Object(mut obj) = spec else { unreachable!() };
+            match value {
+                Some(v) => obj.insert(key, v),
+                None => drop(obj.remove(key)),
+            }
+            obj.insert("op", "run".to_json());
+            obj.insert("format", "json".to_json());
+            serde_json::to_string(&Value::Object(obj)).unwrap()
+        };
+        let curves = |names: &[&str]| Some(Value::Array(names.iter().map(|n| n.to_json()).collect()));
+        for line in [
+            edited(ArtifactKind::Table1, "particle_curves", curves(&["hilbert", "z"])),
+            edited(ArtifactKind::Figure7, "particle_curves", curves(&["z", "hilbert"])),
+            edited(ArtifactKind::Table1, "processor_curves", curves(&["hilbert", "z"])),
+            edited(ArtifactKind::Table1, "processors", None),
+        ] {
+            let resp = server.handle_line(&line);
+            assert_eq!(resp.doc.get("ok"), Some(&Value::Bool(false)), "{line}");
+            assert_eq!(kind_of(&resp), "bad_request", "{line}");
+            let error = resp.doc.get("error").and_then(Value::as_str).unwrap();
+            assert!(error.contains("invalid spec"), "{line}: {error}");
+        }
+        let stats = server.handle_line(r#"{"op": "stats"}"#);
+        let body = stats.doc.get("stats").unwrap();
+        assert_eq!(body.get("computations"), Some(&(0u64).to_json()));
+    }
+
+    #[test]
     fn repeat_run_is_a_cache_hit_with_identical_payload() {
         let server = server("repeat", ServerOptions::default());
         let first = server.handle_line(&run_line(9));
