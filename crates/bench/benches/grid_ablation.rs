@@ -1,8 +1,7 @@
 //! Ablation bench (BENCH_PR10.json): the dense occupancy index against the
 //! sparse cell-map fallback (`Assignment::without_dense_grid`).
 //!
-//! Two views, both over the same Figure-6 style workload the oracle
-//! ablation uses:
+//! Two views, both over one scaled-down Figure-6 workload:
 //!
 //! 1. **NFI scan kernel** — the radius-4 Chebyshev `nfi_acd` call, which
 //!    is exactly the code the dense grid rewrites: with the index, each
@@ -14,9 +13,9 @@
 //!    for honesty.
 //!
 //! Both configurations produce bit-identical results — asserted before
-//! timing. Unlike the criterion benches, this harness hand-rolls its
-//! timing loop and prints one JSON object as the final stdout line so CI
-//! can `grep '^{'` and assert the speedup floor.
+//! timing. The harness hand-rolls its timing loop and prints one JSON
+//! object as the final stdout line so CI can `grep '^{'` and assert the
+//! speedup floor.
 
 use sfc_core::ffi::{ffi_acd_with_tree, OwnerTree};
 use sfc_core::nfi::nfi_acd;

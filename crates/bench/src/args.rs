@@ -53,14 +53,6 @@ pub struct SweepArgs {
     /// request id) to this path. Like `--timing`, a side channel: the
     /// artifact bytes are identical with tracing on or off.
     pub trace: Option<String>,
-    /// Disable the precomputed hop-distance oracle and fall back to the
-    /// closed-form topology distances (ablation/verification only; output
-    /// bytes are identical either way).
-    pub no_oracle: bool,
-    /// Disable the dense occupancy grid and probe the sparse cell index
-    /// per neighborhood cell instead (ablation/verification only; output
-    /// bytes are identical either way).
-    pub no_dense_grid: bool,
     /// Content-addressed result cache directory: a repeat of an already
     /// cached spec replays the stored artifact byte-for-byte with zero
     /// sweep cells computed; a fresh complete run populates it.
@@ -91,8 +83,6 @@ impl Default for SweepArgs {
             chaos_journal: None,
             timing: None,
             trace: None,
-            no_oracle: false,
-            no_dense_grid: false,
             cache: None,
             cache_mem_mb: 64,
             emit_specs: false,
@@ -161,8 +151,6 @@ impl SweepArgs {
                             .ok_or_else(|| "--trace needs a path".to_string())?,
                     )
                 }
-                "--no-oracle" => out.no_oracle = true,
-                "--no-dense-grid" => out.no_dense_grid = true,
                 "--cache" => {
                     out.cache = Some(
                         it.next()
@@ -215,7 +203,7 @@ fn next_num<I: Iterator<Item = String>>(it: &mut I, flag: &str) -> Result<u64, S
 }
 
 fn usage() -> String {
-    "usage: <bin> [--scale S] [--trials T] [--seed X] [--jobs N] [--markdown] [--json PATH] [--timing PATH] [--trace PATH] [--no-oracle] [--no-dense-grid] [--emit-specs]\n\
+    "usage: <bin> [--scale S] [--trials T] [--seed X] [--jobs N] [--markdown] [--json PATH] [--timing PATH] [--trace PATH] [--emit-specs]\n\
      \u{20}          [--cache DIR] [--cache-mem-mb N] [--journal PATH] [--time-budget SECS] [--chaos LIST] [--chaos-persistent] [--chaos-journal N]\n\
      --scale S            shrink the paper workload by 4^S (default 2; 0 = full size)\n\
      --trials T           independent trials to average (default 3)\n\
@@ -228,10 +216,6 @@ fn usage() -> String {
      \u{20}                    sample/assign/nfi/ffi phase breakdown) as JSON\n\
      --trace PATH         write one JSONL span per computed cell and phase,\n\
      \u{20}                    stamped with a shared per-run request id\n\
-     --no-oracle          skip the precomputed hop-distance oracle and use\n\
-     \u{20}                    closed-form distances (output bytes identical)\n\
-     --no-dense-grid      skip the dense occupancy index and probe the sparse\n\
-     \u{20}                    cell map per cell (output bytes identical)\n\
      --cache DIR          content-addressed result cache: replay an already\n\
      \u{20}                    cached run byte-for-byte, else populate it\n\
      --cache-mem-mb N     in-memory tier byte budget over --cache, in MiB\n\
@@ -273,8 +257,6 @@ mod tests {
         assert_eq!(a.chaos_journal, None);
         assert_eq!(a.timing, None);
         assert_eq!(a.trace, None);
-        assert!(!a.no_oracle);
-        assert!(!a.no_dense_grid);
         assert_eq!(a.cache, None);
         assert_eq!(a.cache_mem_mb, 64);
         assert!(!a.emit_specs);
@@ -307,8 +289,6 @@ mod tests {
             "/tmp/x.timing.json",
             "--trace",
             "/tmp/x.trace.jsonl",
-            "--no-oracle",
-            "--no-dense-grid",
             "--cache",
             "/tmp/cache",
             "--cache-mem-mb",
@@ -329,8 +309,6 @@ mod tests {
         assert_eq!(a.chaos_journal, Some(2));
         assert_eq!(a.timing.as_deref(), Some("/tmp/x.timing.json"));
         assert_eq!(a.trace.as_deref(), Some("/tmp/x.trace.jsonl"));
-        assert!(a.no_oracle);
-        assert!(a.no_dense_grid);
         assert_eq!(a.cache.as_deref(), Some("/tmp/cache"));
         assert_eq!(a.cache_mem_mb, 16);
         assert!(a.emit_specs);
@@ -362,6 +340,10 @@ mod tests {
         assert!(parse(&["--trace"]).is_err());
         assert!(parse(&["--cache"]).is_err());
         assert!(parse(&["--cache-mem-mb", "lots"]).is_err());
+        // The fast-path ablations are a library seam (`ComputeOpts`), not
+        // CLI flags.
+        assert!(parse(&["--no-oracle"]).unwrap_err().starts_with("unknown flag"));
+        assert!(parse(&["--no-dense-grid"]).unwrap_err().starts_with("unknown flag"));
     }
 
     #[test]
@@ -369,7 +351,7 @@ mod tests {
         let a = parse(&["--scale", "4", "--trials", "2", "--seed", "99"]).unwrap();
         let b = parse(&[
             "--scale", "4", "--trials", "2", "--seed", "99", "--jobs", "3", "--markdown",
-            "--no-oracle", "--no-dense-grid", "--cache", "/tmp/c",
+            "--cache", "/tmp/c",
         ])
         .unwrap();
         let spec = a.spec(ArtifactKind::Table1);

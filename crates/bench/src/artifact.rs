@@ -19,14 +19,18 @@ use sfc_core::report::Table;
 use sfc_core::runner::SweepRunner;
 use sfc_core::{ArtifactKind, ExperimentSpec};
 
-/// Knobs that change how a sweep computes but never what it computes.
+/// Fast-path ablations: knobs that change how a sweep computes but never
+/// what it computes. This is the library's only ablation seam. The
+/// binaries, `sfc-serve` and the benchmark all pass the default; only
+/// tests set a field, to prove each fast path byte-identical to its
+/// fallback.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ComputeOpts {
-    /// Skip the precomputed hop-distance oracle (ablation; output bytes are
-    /// identical either way).
+    /// Skip the precomputed hop-distance oracle and use closed-form
+    /// distances.
     pub no_oracle: bool,
     /// Skip the dense occupancy grid and probe the sparse cell index per
-    /// neighborhood cell (ablation; output bytes are identical either way).
+    /// neighborhood cell.
     pub no_dense_grid: bool,
 }
 
@@ -173,6 +177,7 @@ pub fn compute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfc_core::runner::RunnerOptions;
 
     fn spec(artifact: ArtifactKind) -> ExperimentSpec {
         let mut s = ExperimentSpec::for_artifact(artifact, 5, 1, 3);
@@ -237,45 +242,55 @@ mod tests {
     }
 
     #[test]
-    fn no_oracle_is_byte_identical() {
-        let fast = compute(
-            &spec(ArtifactKind::Figure7),
-            &ComputeOpts::default(),
-            &mut SweepRunner::ephemeral(),
-        );
-        let slow = compute(
-            &spec(ArtifactKind::Figure7),
-            &ComputeOpts {
-                no_oracle: true,
-                ..ComputeOpts::default()
-            },
-            &mut SweepRunner::ephemeral(),
-        );
-        assert_eq!(fast.body_plain, slow.body_plain);
-        assert_eq!(fast.data, slow.data);
-    }
-
-    #[test]
-    fn no_dense_grid_is_byte_identical() {
-        // The dense occupancy index is a pure fast path: every artifact
-        // that consumes assignments must render identical bytes without it.
-        for artifact in [ArtifactKind::Table1, ArtifactKind::Figure6] {
-            let dense = compute(
-                &spec(artifact),
-                &ComputeOpts::default(),
-                &mut SweepRunner::ephemeral(),
-            );
-            let sparse = compute(
-                &spec(artifact),
-                &ComputeOpts {
+    fn ablations_are_byte_identical_at_every_job_count() {
+        // The hop-distance oracle and the dense occupancy index are pure
+        // fast paths: every artifact that consumes machines and
+        // assignments renders identical bytes without either, on any
+        // number of cell workers.
+        let ablations = [
+            ("default", ComputeOpts::default()),
+            (
+                "no_oracle",
+                ComputeOpts {
+                    no_oracle: true,
+                    ..ComputeOpts::default()
+                },
+            ),
+            (
+                "no_dense_grid",
+                ComputeOpts {
                     no_dense_grid: true,
                     ..ComputeOpts::default()
                 },
-                &mut SweepRunner::ephemeral(),
-            );
-            assert_eq!(dense.body_plain, sparse.body_plain, "{artifact}");
-            assert_eq!(dense.body_markdown, sparse.body_markdown, "{artifact}");
-            assert_eq!(dense.data, sparse.data, "{artifact}");
+            ),
+        ];
+        for artifact in [
+            ArtifactKind::Table1,
+            ArtifactKind::Figure6,
+            ArtifactKind::Figure7,
+        ] {
+            let runs: Vec<(String, ArtifactOutput)> = ablations
+                .iter()
+                .flat_map(|(tag, opts)| {
+                    [1, 4].map(|jobs| {
+                        let options = RunnerOptions {
+                            jobs,
+                            ..RunnerOptions::new()
+                        };
+                        let mut runner = SweepRunner::new("ablation", &Value::Null, options)
+                            .expect("no journal to fail on");
+                        let out = compute(&spec(artifact), opts, &mut runner);
+                        assert!(runner.finish().complete(), "{artifact} {tag} jobs={jobs}");
+                        (format!("{tag} jobs={jobs}"), out)
+                    })
+                })
+                .collect();
+            let (_, base) = &runs[0];
+            for (run, out) in &runs[1..] {
+                assert_eq!(base.body_plain, out.body_plain, "{artifact} {run}");
+                assert_eq!(base.body_markdown, out.body_markdown, "{artifact} {run}");
+                assert_eq!(base.data, out.data, "{artifact} {run}");
+            }
         }
     }
 }

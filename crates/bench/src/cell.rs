@@ -46,9 +46,9 @@ impl TrialCache {
     }
 }
 
-/// Build a machine, honoring `--no-oracle`: the default machine
-/// precomputes the dense hop-distance oracle, the flag falls back to
-/// closed-form distances. Both produce identical values.
+/// Build a machine, honoring [`ComputeOpts::no_oracle`]: the default
+/// machine precomputes the dense hop-distance oracle, the ablation falls
+/// back to closed-form distances. Both produce identical values.
 pub(crate) fn machine(
     opts: &ComputeOpts,
     topo: TopologyKind,

@@ -55,11 +55,10 @@ pub mod error_kind {
 
 /// The configuration fingerprint stored in a journal header: a journal can
 /// only resume a sweep with the same scale, trials and seed. Chaos, budget,
-/// jobs, timing, oracle and dense-grid flags are deliberately excluded —
-/// interrupting a run with a different budget or thread count (or
-/// sabotaging it in a test) must not orphan the journal, and
-/// `--timing`/`--no-oracle`/`--no-dense-grid` do not change any computed
-/// value.
+/// jobs and timing flags are deliberately excluded — interrupting a run
+/// with a different budget or thread count (or sabotaging it in a test)
+/// must not orphan the journal, and `--timing` does not change any
+/// computed value.
 pub fn fingerprint(args: &SweepArgs) -> Value {
     json!({
         "scale": args.scale,
@@ -226,11 +225,7 @@ pub fn run_artifact_with(kind: ArtifactKind, args: &SweepArgs) {
     let banner = args.banner(kind.title());
     println!("{banner}");
     let mut runner = runner(kind.sweep_name(), args);
-    let opts = ComputeOpts {
-        no_oracle: args.no_oracle,
-        no_dense_grid: args.no_dense_grid,
-    };
-    let out = compute(&spec, &opts, &mut runner);
+    let out = compute(&spec, &ComputeOpts::default(), &mut runner);
     let summary = runner.finish();
     report(kind.sweep_name(), &summary);
     write_timing(kind.name(), args, &summary);

@@ -248,8 +248,6 @@ pub fn timing_json(artifact: &str, args: &SweepArgs, summary: &SweepSummary) -> 
         }),
         "jobs": args.jobs,
         "rayon_threads": rayon::current_num_threads() as u64,
-        "oracle": !args.no_oracle,
-        "dense_grid": !args.no_dense_grid,
         "grid_index": json!({
             "dense_builds": dense_builds,
             "cellmap_fallbacks": cellmap_fallbacks,
@@ -398,8 +396,6 @@ mod tests {
         ));
         let v = timing_json("table1", &args, &summary);
         assert_eq!(v["artifact"], "table1-timing");
-        assert_eq!(v["oracle"], true);
-        assert_eq!(v["dense_grid"], true);
         assert!(v["grid_index"]["dense_builds"].as_u64().is_some());
         assert!(v["grid_index"]["cellmap_fallbacks"].as_u64().is_some());
         let cells = v["cells"].as_array().unwrap();

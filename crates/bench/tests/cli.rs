@@ -92,60 +92,6 @@ fn bad_flag_exits_with_usage() {
 }
 
 #[test]
-fn no_oracle_artifact_is_byte_identical() {
-    // The hop-distance oracle is a pure accelerator: disabling it must not
-    // change a single byte of stdout or the JSON artifact.
-    let dir = std::env::temp_dir();
-    let with = dir.join("sfc_cli_oracle_on.json");
-    let without = dir.join("sfc_cli_oracle_off.json");
-    let mut args_on = TINY.to_vec();
-    args_on.extend(["--json", with.to_str().unwrap()]);
-    let (stdout_on, _, ok_on) = run("table1", &args_on);
-    let mut args_off = TINY.to_vec();
-    args_off.extend(["--json", without.to_str().unwrap(), "--no-oracle"]);
-    let (stdout_off, _, ok_off) = run("table1", &args_off);
-    assert!(ok_on && ok_off);
-    assert_eq!(stdout_on, stdout_off);
-    assert_eq!(
-        std::fs::read(&with).unwrap(),
-        std::fs::read(&without).unwrap(),
-        "oracle on/off artifacts differ"
-    );
-    std::fs::remove_file(with).ok();
-    std::fs::remove_file(without).ok();
-}
-
-#[test]
-fn no_dense_grid_artifact_is_byte_identical_at_every_job_count() {
-    // Like the oracle, the dense occupancy index is a pure accelerator:
-    // ablating it must not change a single byte of stdout or the JSON
-    // artifact, at any worker count.
-    let dir = std::env::temp_dir();
-    let mut outputs = Vec::new();
-    for (tag, extra) in [
-        ("dense_j1", vec!["--jobs", "1"]),
-        ("dense_j4", vec!["--jobs", "4"]),
-        ("sparse_j1", vec!["--jobs", "1", "--no-dense-grid"]),
-        ("sparse_j4", vec!["--jobs", "4", "--no-dense-grid"]),
-    ] {
-        let path = dir.join(format!("sfc_cli_grid_{tag}.json"));
-        let mut args = TINY.to_vec();
-        args.extend(["--json", path.to_str().unwrap()]);
-        args.extend(extra);
-        let (stdout, _, ok) = run("table1", &args);
-        assert!(ok, "{tag} run failed");
-        let json = std::fs::read(&path).unwrap();
-        std::fs::remove_file(path).ok();
-        outputs.push((tag, stdout, json));
-    }
-    let (_, stdout0, json0) = &outputs[0];
-    for (tag, stdout, json) in &outputs[1..] {
-        assert_eq!(stdout, stdout0, "{tag} stdout differs");
-        assert_eq!(json, json0, "{tag} artifact differs");
-    }
-}
-
-#[test]
 fn timing_flag_writes_phase_envelope_and_leaves_artifact_alone() {
     let dir = std::env::temp_dir();
     let artifact = dir.join("sfc_cli_timed_artifact.json");
@@ -169,8 +115,6 @@ fn timing_flag_writes_phase_envelope_and_leaves_artifact_alone() {
     let text = std::fs::read_to_string(&timing).expect("timing envelope written");
     let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
     assert_eq!(v["artifact"], "table1-timing");
-    assert_eq!(v["oracle"], true);
-    assert_eq!(v["dense_grid"], true);
     assert!(v["grid_index"]["dense_builds"].as_u64().unwrap() >= 12);
     assert_eq!(v["grid_index"]["cellmap_fallbacks"].as_u64().unwrap(), 0);
     let cells = v["cells"].as_array().unwrap();

@@ -31,7 +31,7 @@ pub fn dense_grid_builds() -> u64 {
 
 /// How many assignments used the `CellMap` probe path instead of the dense
 /// index — grids above the [`sfc_particles::MAX_GRID_CELLS`] cap or
-/// `--no-dense-grid` ablation runs.
+/// dense-grid ablation runs.
 pub fn cellmap_fallbacks() -> u64 {
     CELLMAP_FALLBACKS.load(Ordering::Relaxed)
 }
@@ -70,8 +70,8 @@ impl Assignment {
     }
 
     /// [`Assignment::new`] with explicit control over the dense occupancy
-    /// index: `dense = false` skips building it entirely (the
-    /// `--no-dense-grid` ablation), leaving every lookup on the `CellMap`
+    /// index: `dense = false` skips building it entirely (the dense-grid
+    /// ablation), leaving every lookup on the `CellMap`
     /// probe path. Results are bit-identical either way.
     pub fn with_dense_grid(
         particles: &[Point2],

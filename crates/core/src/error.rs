@@ -115,6 +115,17 @@ pub enum SfcError {
         /// What the renderer can label on that axis.
         expected: &'static str,
     },
+    /// An axis the artifact's driver does not sweep holds something other
+    /// than the one value the driver measures. Computing it anyway would
+    /// store that value's data under another spec's cache key.
+    UnsweptAxis {
+        /// The artifact the spec regenerates.
+        artifact: &'static str,
+        /// The offending axis.
+        axis: &'static str,
+        /// The one value the driver measures on that axis.
+        expected: &'static str,
+    },
     /// A whole-artifact computation panicked (outside the per-cell retry
     /// machinery — e.g. in a daemon's `compute_artifact` leader). The panic
     /// was contained with `catch_unwind`; the computation produced nothing
@@ -182,6 +193,14 @@ impl std::fmt::Display for SfcError {
                 axis,
                 expected,
             } => write!(f, "{artifact} cannot label `{axis}`: it must be {expected}"),
+            SfcError::UnsweptAxis {
+                artifact,
+                axis,
+                expected,
+            } => write!(
+                f,
+                "{artifact} does not sweep `{axis}`: it must be {expected}"
+            ),
             SfcError::ComputePanicked { message } => {
                 write!(f, "artifact computation panicked: {message}")
             }

@@ -10,9 +10,9 @@
 //!
 //! The rank source is a [`RankRows`]. Where it holds a dense table, a
 //! segment is a contiguous slice. Where it does not, the same cells are
-//! probed one at a time. That covers over-cap grids and `--no-dense-grid`
-//! assignments. Both branches visit the same cells, so the tallies are
-//! identical.
+//! probed one at a time. That covers over-cap grids and assignments built
+//! without the dense grid. Both branches visit the same cells, so the
+//! tallies are identical.
 
 use crate::assignment::Assignment;
 use crate::machine::Machine;

@@ -366,8 +366,14 @@ impl ExperimentSpec {
     pub fn parametric(scale: u32, trials: u64, seed: u64) -> Self {
         let workload = Workload::tables_1_2(DistributionKind::Uniform, seed).scaled_down(scale);
         // Input sizes around the (scaled) Table I workload: ×¼, ×½, ×1, ×2,
-        // floored so the smallest scale still has a meaningful sweep.
+        // floored so the smallest scale still has a meaningful sweep, and
+        // capped at what the sampler can place on the grid (which merges
+        // the largest sizes on the smallest grids).
         let base_n = (250_000u64 >> (2 * scale)).max(64);
+        let mut particle_counts: Vec<u64> = [base_n / 4, base_n / 2, base_n, base_n * 2]
+            .map(|n| n.min(workload.capacity()))
+            .to_vec();
+        particle_counts.dedup();
         ExperimentSpec {
             artifact: ArtifactKind::Parametric,
             scale,
@@ -382,7 +388,7 @@ impl ExperimentSpec {
                 .map(|k| k.default_params())
                 .collect(),
             processors: vec![scaled_procs(scale)],
-            particle_counts: vec![base_n / 4, base_n / 2, base_n, base_n * 2],
+            particle_counts,
             radii: vec![1, 2, 4, 6, 8],
             norm: Norm::Chebyshev,
             ..ExperimentSpec::default()
@@ -481,6 +487,13 @@ impl ExperimentSpec {
         for e in self.acd_experiments() {
             e.validate()?;
         }
+        for &n in &self.particle_counts {
+            Workload {
+                n: n as usize,
+                ..self.workload(Distribution::uniform())
+            }
+            .validate()?;
+        }
         for &order in &self.orders {
             if order == 0 || order > crate::anns::MAX_STRETCH_ORDER {
                 return Err(SfcError::OrderTooLarge {
@@ -494,10 +507,12 @@ impl ExperimentSpec {
 
     /// Reject axes the artifact's driver cannot run or its renderer cannot
     /// label: an empty axis the driver reads its first entry from, a
-    /// particle curve list other than the paper's four columns in order
-    /// (the extensions label each row by its curve, so any list renders),
-    /// and a processor curve list other than those columns for Tables I/II
-    /// or other than empty (tied to the particle order) elsewhere.
+    /// topology list other than the torus for the studies that always
+    /// measure one, a particle curve list other than the paper's four
+    /// columns in order (the extensions label each row by its curve, so any
+    /// list renders), and a processor curve list other than those columns
+    /// for Tables I/II or other than empty (tied to the particle order)
+    /// elsewhere.
     fn check_axes(&self) -> Result<(), SfcError> {
         use ArtifactKind::*;
         let artifact = self.artifact.name();
@@ -521,6 +536,15 @@ impl ExperimentSpec {
         };
         if let Some(&(axis, _)) = indexed.iter().find(|(_, len)| *len == 0) {
             return Err(SfcError::EmptyAxis { artifact, axis });
+        }
+        if matches!(self.artifact, Parametric | Extensions)
+            && self.topologies != [TopologyKind::Torus]
+        {
+            return Err(SfcError::UnsweptAxis {
+                artifact,
+                axis: "topologies",
+                expected: "[Torus]",
+            });
         }
         const PAPER_COLUMNS: &str = "[Hilbert, Z, Gray, RowMajor]";
         let unlabelled = |axis, expected| SfcError::UnlabelledCurves {
@@ -745,6 +769,7 @@ fn parse_distributions(v: &Value) -> Result<Vec<Distribution>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfc_particles::WorkloadError;
 
     #[test]
     fn constructors_match_legacy_scaling_math() {
@@ -982,6 +1007,59 @@ mod tests {
         let mut ext = ExperimentSpec::extensions(4, 1, 7);
         ext.particle_curves = two.clone();
         assert_eq!(ext.validate(), Ok(()));
+
+        // The Section VI-C and extension studies always measure the torus.
+        for artifact in [ArtifactKind::Parametric, ArtifactKind::Extensions] {
+            for topologies in [
+                vec![TopologyKind::Mesh],
+                vec![TopologyKind::Torus, TopologyKind::Mesh],
+            ] {
+                let mut spec = ExperimentSpec::for_artifact(artifact, 4, 1, 7);
+                spec.topologies = topologies;
+                assert_eq!(
+                    spec.validate(),
+                    Err(SfcError::UnsweptAxis {
+                        artifact: artifact.name(),
+                        axis: "topologies",
+                        expected: "[Torus]",
+                    }),
+                    "{artifact}"
+                );
+            }
+        }
+
+        // Input sizes must be samplable on the spec's grid.
+        let mut sizes = ExperimentSpec::parametric(6, 1, 7); // 16x16 grid
+        sizes.particle_counts = vec![16, 0];
+        assert_eq!(
+            sizes.validate(),
+            Err(SfcError::Workload(WorkloadError::NoParticles))
+        );
+        sizes.particle_counts = vec![230, 231];
+        assert_eq!(
+            sizes.validate(),
+            Err(SfcError::Workload(WorkloadError::TooManyParticles {
+                n: 231,
+                limit: 230,
+                side: 16
+            }))
+        );
+    }
+
+    #[test]
+    fn stock_input_sizes_fit_their_grid() {
+        // Up to scale 6 the four sizes fit; past it the largest are capped
+        // at the grid's capacity and merged.
+        assert_eq!(
+            ExperimentSpec::parametric(6, 1, 7).particle_counts,
+            [16, 32, 64, 128]
+        );
+        assert_eq!(
+            ExperimentSpec::parametric(7, 1, 7).particle_counts,
+            [16, 32, 57]
+        );
+        assert_eq!(ExperimentSpec::parametric(8, 1, 7).particle_counts, [14]);
+        assert_eq!(ExperimentSpec::parametric(9, 1, 7).particle_counts, [3]);
     }
 
     #[test]

@@ -8,20 +8,11 @@
 //! *edge-adjacent* — the "unit step" property the proximity-preservation
 //! experiments in the paper rely on.
 //!
-//! Two implementations are provided:
-//!
-//! - [`hilbert_index`] / [`hilbert_point`]: the standard bit-twiddled
-//!   transform (Lam & Shapiro style), processing one bit of each coordinate
-//!   per iteration. `O(k)` time, no memory.
-//! - [`HilbertLut`]: a state-machine implementation that walks precomputed
-//!   4-entry transition tables (one per orientation of the order-1 motif)
-//!   instead of re-deriving the rotation arithmetic every level. This is the
-//!   variant measured against the plain version in the `curves` ablation
-//!   bench.
-//!
-//! Both are cross-validated against each other, against the literal
-//! recursive construction in [`crate::recursive`], and against Skilling's
-//! general n-dimensional transform in [`crate::skilling`].
+//! [`hilbert_index`] / [`hilbert_point`] are the standard bit-twiddled
+//! transform (Lam & Shapiro style), processing one bit of each coordinate
+//! per iteration: `O(k)` time, no memory. They are cross-validated against
+//! the literal recursive construction in [`crate::recursive`] and against
+//! Skilling's general n-dimensional transform in [`crate::skilling`].
 
 use crate::{check_order, Curve2d, Point2};
 
@@ -124,129 +115,6 @@ impl Curve2d for HilbertCurve {
     }
 }
 
-// ---------------------------------------------------------------------------
-// State-machine (LUT) implementation
-// ---------------------------------------------------------------------------
-
-/// Number of distinct orientations ("states") of the order-1 Hilbert motif.
-const STATES: usize = 4;
-
-/// For each state, `INDEX_LUT[state][quadrant]` gives `(sub_index, next_state)`
-/// where `quadrant = (y_bit << 1) | x_bit`.
-///
-/// State 0 is the canonical "U" opening to the right (entry lower-left, exit
-/// lower-right); states 1–3 are its rotations/reflections generated by the
-/// Hilbert recursion.
-const INDEX_LUT: [[(u8, u8); 4]; STATES] = build_index_lut();
-
-/// For each state, `POINT_LUT[state][sub_index]` gives
-/// `((y_bit << 1) | x_bit, next_state)` — the inverse of [`INDEX_LUT`].
-const POINT_LUT: [[(u8, u8); 4]; STATES] = build_point_lut();
-
-/// Builds the forward table at compile time.
-///
-/// The state tracks the coordinate transform accumulated by the Hilbert
-/// recursion (the same transform the bit-twiddled version applies in place):
-///
-/// - state 0 = `I`  — identity,
-/// - state 1 = `S`  — transpose `(x, y) → (y, x)`,
-/// - state 2 = `A`  — anti-transpose `(x, y) → (¬y, ¬x)`,
-/// - state 3 = `B`  — point reflection `(x, y) → (¬x, ¬y)`,
-///
-/// where `¬` complements the coordinate within the current sub-square. The
-/// sub-index of a quadrant is `(3·u) ⊕ v` evaluated on the transformed bits
-/// `(u, v)`, and the next state composes the level's rotation with the
-/// accumulated one. Entries are indexed by `quadrant = (y_bit << 1) | x_bit`
-/// (0 = LL, 1 = LR, 2 = UL, 3 = UR).
-const fn build_index_lut() -> [[(u8, u8); 4]; STATES] {
-    [
-        // I: LL -> sub 0, enter S; LR -> sub 3, enter A; UL -> sub 1; UR -> sub 2.
-        [(0, 1), (3, 2), (1, 0), (2, 0)],
-        // S: LL -> sub 0, enter I; LR -> sub 1; UL -> sub 3, enter B; UR -> sub 2.
-        [(0, 0), (1, 1), (3, 3), (2, 1)],
-        // A: LL -> sub 2; LR -> sub 3, enter I; UL -> sub 1; UR -> sub 0, enter B.
-        [(2, 2), (3, 0), (1, 2), (0, 3)],
-        // B: LL -> sub 2; LR -> sub 1; UL -> sub 3, enter S; UR -> sub 0, enter A.
-        [(2, 3), (1, 3), (3, 1), (0, 2)],
-    ]
-}
-
-const fn build_point_lut() -> [[(u8, u8); 4]; STATES] {
-    let fwd = build_index_lut();
-    let mut out = [[(0u8, 0u8); 4]; STATES];
-    let mut s = 0;
-    while s < STATES {
-        let mut q = 0;
-        while q < 4 {
-            let (sub, next) = fwd[s][q];
-            out[s][sub as usize] = (q as u8, next);
-            q += 1;
-        }
-        s += 1;
-    }
-    out
-}
-
-/// State-machine Hilbert transform. Functionally identical to
-/// [`hilbert_index`] / [`hilbert_point`]; kept as a separate type so the
-/// ablation bench can compare the two implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HilbertLut {
-    order: u32,
-}
-
-impl HilbertLut {
-    /// Create a table-driven Hilbert curve over a `2^order × 2^order` grid.
-    pub fn new(order: u32) -> Self {
-        check_order(order);
-        HilbertLut { order }
-    }
-}
-
-impl Curve2d for HilbertLut {
-    fn order(&self) -> u32 {
-        self.order
-    }
-
-    #[inline]
-    fn index(&self, p: Point2) -> u64 {
-        let mut state = 0usize;
-        let mut d: u64 = 0;
-        let mut level = self.order;
-        while level > 0 {
-            level -= 1;
-            let xb = (p.x >> level) & 1;
-            let yb = (p.y >> level) & 1;
-            let quadrant = ((yb << 1) | xb) as usize;
-            let (sub, next) = INDEX_LUT[state][quadrant];
-            d = (d << 2) | sub as u64;
-            state = next as usize;
-        }
-        d
-    }
-
-    #[inline]
-    fn point(&self, idx: u64) -> Point2 {
-        let mut state = 0usize;
-        let mut x: u32 = 0;
-        let mut y: u32 = 0;
-        let mut level = self.order;
-        while level > 0 {
-            level -= 1;
-            let sub = ((idx >> (2 * level)) & 3) as usize;
-            let (quadrant, next) = POINT_LUT[state][sub];
-            x = (x << 1) | (quadrant as u32 & 1);
-            y = (y << 1) | (quadrant as u32 >> 1);
-            state = next as usize;
-        }
-        Point2::new(x, y)
-    }
-
-    fn name(&self) -> &'static str {
-        "Hilbert Curve (LUT)"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,18 +159,6 @@ mod tests {
                     "order {order}: step {idx} jumps from {prev} to {p}"
                 );
                 prev = p;
-            }
-        }
-    }
-
-    #[test]
-    fn lut_matches_bit_twiddled() {
-        for order in 1..=6 {
-            let a = HilbertCurve::new(order);
-            let b = HilbertLut::new(order);
-            for idx in 0..a.len() {
-                assert_eq!(a.point(idx), b.point(idx), "order {order} idx {idx}");
-                assert_eq!(a.index(a.point(idx)), b.index(b.point(idx)));
             }
         }
     }

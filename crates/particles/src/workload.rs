@@ -21,6 +21,8 @@ pub enum WorkloadError {
         /// The offending order.
         order: u32,
     },
+    /// Zero particles were requested; there is nothing to measure.
+    NoParticles,
     /// More particles were requested than distinct grid cells can hold
     /// (the sampler refuses beyond 90% fill; see [`crate::sampler`]).
     TooManyParticles {
@@ -39,6 +41,7 @@ impl std::fmt::Display for WorkloadError {
             WorkloadError::GridOrderOutOfRange { order } => {
                 write!(f, "grid order out of range: {order} (supported: 1..=31)")
             }
+            WorkloadError::NoParticles => write!(f, "a workload needs at least one particle"),
             WorkloadError::TooManyParticles { n, limit, side } => write!(
                 f,
                 "cannot place {n} distinct particles on a {side}x{side} grid \
@@ -111,7 +114,8 @@ impl Workload {
     }
 
     /// Check that this workload can actually be sampled: the grid order is
-    /// in range and the particle count fits under the sampler's fill limit.
+    /// in range and the particle count is between one and
+    /// [`Workload::capacity`].
     /// The sampler enforces the same constraints by panicking; validating up
     /// front lets harnesses reject a configuration before work starts.
     pub fn validate(&self) -> Result<(), WorkloadError> {
@@ -120,16 +124,25 @@ impl Workload {
                 order: self.grid_order,
             });
         }
-        let side = self.side();
-        let limit = ((side * side) as f64 * MAX_FILL) as u64;
+        if self.n == 0 {
+            return Err(WorkloadError::NoParticles);
+        }
+        let limit = self.capacity();
         if self.n as u64 > limit {
             return Err(WorkloadError::TooManyParticles {
                 n: self.n,
                 limit,
-                side,
+                side: self.side(),
             });
         }
         Ok(())
+    }
+
+    /// The most distinct particles the sampler places on this grid:
+    /// `floor(4^grid_order · MAX_FILL)`.
+    pub fn capacity(&self) -> u64 {
+        let side = self.side();
+        ((side * side) as f64 * MAX_FILL) as u64
     }
 
     /// Side of the grid, `2^grid_order`.
@@ -189,6 +202,24 @@ mod tests {
         let s = w.scaled_down(3);
         assert_eq!(s.side(), 512);
         assert!((s.density() - w.density()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn validate_bounds_the_particle_count() {
+        let w = Workload::new(3, 57, Distribution::uniform(), 0);
+        assert_eq!(w.capacity(), 57); // floor(64 * 0.9)
+        assert_eq!(w.validate(), Ok(()));
+        let over = Workload { n: 58, ..w };
+        assert_eq!(
+            over.validate(),
+            Err(WorkloadError::TooManyParticles {
+                n: 58,
+                limit: 57,
+                side: 8
+            })
+        );
+        let empty = Workload { n: 0, ..w };
+        assert_eq!(empty.validate(), Err(WorkloadError::NoParticles));
     }
 
     #[test]

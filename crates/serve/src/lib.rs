@@ -1693,7 +1693,9 @@ mod tests {
     #[test]
     fn specs_the_drivers_cannot_run_are_invalid_not_computed() {
         // `--emit-specs` output with one axis edited: curve lists the
-        // renderer would mislabel, and an axis the driver indexes removed.
+        // renderer would mislabel, an axis the driver indexes removed, a
+        // topology the driver does not sweep, and input sizes the sampler
+        // cannot place.
         let server = server("unrunnable", ServerOptions::default());
         let edited = |artifact: ArtifactKind, key: &str, value: Option<Value>| {
             let spec = ExperimentSpec::for_artifact(artifact, 5, 2, 3).canonical_json();
@@ -1706,12 +1708,17 @@ mod tests {
             obj.insert("format", "json".to_json());
             serde_json::to_string(&Value::Object(obj)).unwrap()
         };
-        let curves = |names: &[&str]| Some(Value::Array(names.iter().map(|n| n.to_json()).collect()));
+        let list = |names: &[&str]| Some(Value::Array(names.iter().map(|n| n.to_json()).collect()));
+        let counts = |ns: &[u64]| Some(ns.to_vec().to_json());
         for line in [
-            edited(ArtifactKind::Table1, "particle_curves", curves(&["hilbert", "z"])),
-            edited(ArtifactKind::Figure7, "particle_curves", curves(&["z", "hilbert"])),
-            edited(ArtifactKind::Table1, "processor_curves", curves(&["hilbert", "z"])),
+            edited(ArtifactKind::Table1, "particle_curves", list(&["hilbert", "z"])),
+            edited(ArtifactKind::Figure7, "particle_curves", list(&["z", "hilbert"])),
+            edited(ArtifactKind::Table1, "processor_curves", list(&["hilbert", "z"])),
             edited(ArtifactKind::Table1, "processors", None),
+            edited(ArtifactKind::Parametric, "topologies", list(&["Mesh"])),
+            edited(ArtifactKind::Extensions, "topologies", list(&["Mesh"])),
+            edited(ArtifactKind::Parametric, "particle_counts", counts(&[0])),
+            edited(ArtifactKind::Parametric, "particle_counts", counts(&[5000])),
         ] {
             let resp = server.handle_line(&line);
             assert_eq!(resp.doc.get("ok"), Some(&Value::Bool(false)), "{line}");
