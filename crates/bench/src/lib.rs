@@ -1,19 +1,20 @@
 //! # sfc-bench
 //!
 //! The regeneration harness: one binary per table/figure of the paper, plus
-//! Criterion micro/macro benches. This library holds the shared pieces —
-//! a tiny flag parser and the experiment drivers — so the binaries stay thin
-//! and the integration tests can exercise the exact code paths the binaries
+//! the `grid_ablation` bench. This library holds the shared pieces — a tiny
+//! flag parser and the experiment drivers — so the binaries stay thin and
+//! the integration tests can exercise the exact code paths the binaries
 //! run.
 //!
-//! | Paper artifact | Binary | Bench |
-//! |---|---|---|
-//! | Figure 5(a)/(b) — ANNS vs resolution | `fig5` | `anns` |
-//! | Table I — NFI ACD, 16 curve pairs × 3 distributions | `table1` | `table1` |
-//! | Table II — FFI ACD, 16 curve pairs × 3 distributions | `table2` | `table2` |
-//! | Figure 6 — topology comparison | `fig6` | `fig6` |
-//! | Figure 7 — ACD vs processor count | `fig7` | `fig7` |
-//! | Section VI-C parametric studies | `parametric` | — |
+//! | Paper artifact | Binary |
+//! |---|---|
+//! | Figure 5(a)/(b) — ANNS vs resolution | `fig5` |
+//! | Table I — NFI ACD, 16 curve pairs × 3 distributions | `table1` |
+//! | Table II — FFI ACD, 16 curve pairs × 3 distributions | `table2` |
+//! | Figure 6 — topology comparison | `fig6` |
+//! | Figure 7 — ACD vs processor count | `fig7` |
+//! | Section VI-C parametric studies | `parametric` |
+//! | Section VIII extension studies | `extensions` |
 //!
 //! All binaries accept `--scale S` (shrink the workload by `4^S` while
 //! preserving density; the default regenerates at reduced scale 2 so a full

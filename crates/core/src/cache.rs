@@ -426,13 +426,6 @@ impl ResultCache {
         self.load_tiered(spec).map(|(a, _)| (*a).clone())
     }
 
-    /// [`ResultCache::load`] without the final clone: the artifact arrives
-    /// behind an `Arc`, which on a memory hit is the very allocation the
-    /// tier holds.
-    pub fn load_arc(&self, spec: &ExperimentSpec) -> Option<Arc<CachedArtifact>> {
-        self.load_tiered(spec).map(|(a, _)| a)
-    }
-
     /// Load with tier provenance: memory first (zero file I/O, zero
     /// hashing), then verified disk, promoting a disk hit into the memory
     /// tier so its next load is a memory hit.

@@ -359,7 +359,7 @@ mod tests {
     fn single_particle_has_tree_only_traffic_at_zero_distance() {
         let particles = pts(&[(2, 2)]);
         let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 1);
-        let machine = Machine::grid(TopologyKind::Torus, 64, CurveKind::Hilbert);
+        let machine = Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert);
         let res = ffi_acd(&asg, &machine).unwrap();
         // One occupied cell per level 1..=3: 3 interpolation + 3
         // anterpolation messages, all rank-local.
@@ -375,7 +375,7 @@ mod tests {
         let particles = pts(&[(0, 0), (1, 0), (7, 7), (6, 6)]);
         let asg = Assignment::new(&particles, 3, CurveKind::ZCurve, 4);
         let tree = OwnerTree::build(&asg);
-        let machine = Machine::grid(TopologyKind::Mesh, 64, CurveKind::ZCurve);
+        let machine = Machine::new(TopologyKind::Mesh, 64, CurveKind::ZCurve);
         let res = ffi_acd_with_tree(&asg, &machine, &tree).unwrap();
         let expected: u64 = (1..=3).map(|l| tree.level_len(l) as u64).sum();
         assert_eq!(res.interp_comms, expected);
@@ -390,7 +390,7 @@ mod tests {
         // at level 2 are adjacent, cells are 3 apart (Chebyshev) at level 3.
         let particles = pts(&[(0, 0), (3, 0)]);
         let asg = Assignment::new(&particles, 3, CurveKind::RowMajor, 2);
-        let machine = Machine::grid(TopologyKind::Mesh, 64, CurveKind::RowMajor);
+        let machine = Machine::new(TopologyKind::Mesh, 64, CurveKind::RowMajor);
         let res = ffi_acd(&asg, &machine).unwrap();
         // Directed: 2 exchanges at level 3 only.
         assert_eq!(res.ilist_comms, 2);
@@ -401,7 +401,7 @@ mod tests {
     fn adjacent_cells_never_appear_in_ilists() {
         let particles = pts(&[(0, 0), (1, 0)]);
         let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 2);
-        let machine = Machine::grid(TopologyKind::Mesh, 64, CurveKind::Hilbert);
+        let machine = Machine::new(TopologyKind::Mesh, 64, CurveKind::Hilbert);
         let res = ffi_acd(&asg, &machine).unwrap();
         assert_eq!(res.ilist_comms, 0);
     }
@@ -410,7 +410,7 @@ mod tests {
     fn ilist_traffic_is_directed_and_symmetric() {
         let particles = pts(&[(0, 0), (3, 3), (5, 5), (7, 0)]);
         let asg = Assignment::new(&particles, 3, CurveKind::Gray, 4);
-        let machine = Machine::grid(TopologyKind::Torus, 64, CurveKind::Gray);
+        let machine = Machine::new(TopologyKind::Torus, 64, CurveKind::Gray);
         let res = ffi_acd(&asg, &machine).unwrap();
         assert_eq!(res.ilist_comms % 2, 0);
         assert_eq!(res.ilist_distance % 2, 0);
@@ -420,7 +420,7 @@ mod tests {
     fn acd_breakdown_sums_to_total() {
         let particles = pts(&[(0, 0), (2, 5), (7, 1), (4, 4), (6, 7)]);
         let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 4);
-        let machine = Machine::grid(TopologyKind::Torus, 64, CurveKind::Hilbert);
+        let machine = Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert);
         let res = ffi_acd(&asg, &machine).unwrap();
         assert_eq!(
             res.total_distance(),
@@ -439,7 +439,7 @@ mod tests {
     fn prebuilt_tree_matches_direct_call() {
         let particles = pts(&[(0, 0), (2, 5), (7, 1), (4, 4)]);
         let asg = Assignment::new(&particles, 3, CurveKind::ZCurve, 4);
-        let machine = Machine::grid(TopologyKind::Mesh, 64, CurveKind::ZCurve);
+        let machine = Machine::new(TopologyKind::Mesh, 64, CurveKind::ZCurve);
         let tree = OwnerTree::build(&asg);
         assert_eq!(ffi_acd(&asg, &machine), ffi_acd_with_tree(&asg, &machine, &tree));
     }
@@ -450,7 +450,7 @@ mod tests {
         let particles = pts(&[(0, 0), (2, 5), (7, 1), (4, 4)]);
         let asg = Assignment::new(&particles, 3, CurveKind::ZCurve, 4);
         let other = Assignment::new(&particles, 3, CurveKind::Hilbert, 4);
-        let machine = Machine::grid(TopologyKind::Mesh, 64, CurveKind::ZCurve);
+        let machine = Machine::new(TopologyKind::Mesh, 64, CurveKind::ZCurve);
         let _ = ffi_acd_with_tree(&asg, &machine, &OwnerTree::build(&other));
     }
 
@@ -459,7 +459,7 @@ mod tests {
         use crate::error::SfcError;
         let particles = pts(&[(0, 0), (7, 7)]);
         let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 64);
-        let small = Machine::grid(TopologyKind::Mesh, 16, CurveKind::Hilbert);
+        let small = Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert);
         match ffi_acd(&asg, &small) {
             Err(SfcError::MachineTooSmall {
                 machine_ranks: 16,
@@ -473,8 +473,8 @@ mod tests {
     fn oracle_on_and_off_agree() {
         let particles = pts(&[(0, 0), (3, 3), (5, 5), (7, 0), (2, 6), (6, 2)]);
         let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 16);
-        let cached = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert);
-        let plain = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert).without_oracle();
+        let cached = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert);
+        let plain = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert).without_oracle();
         assert_eq!(ffi_acd(&asg, &cached), ffi_acd(&asg, &plain));
     }
 
@@ -483,7 +483,7 @@ mod tests {
         let particles = pts(&[(0, 0), (3, 3), (5, 5), (7, 0), (2, 6), (6, 2), (1, 7)]);
         let dense = Assignment::new(&particles, 3, CurveKind::Gray, 16);
         let sparse = dense.clone().without_dense_grid();
-        let machine = Machine::grid(TopologyKind::Mesh, 16, CurveKind::Gray);
+        let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::Gray);
         assert_eq!(ffi_acd(&dense, &machine), ffi_acd(&sparse, &machine));
     }
 }

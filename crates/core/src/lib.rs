@@ -40,7 +40,7 @@
 //!
 //! let particles = sample(Distribution::uniform(), 6, 500, 7);
 //! let asg = Assignment::new(&particles, 6, CurveKind::Hilbert, 64);
-//! let machine = Machine::grid(TopologyKind::Torus, 64, CurveKind::Hilbert);
+//! let machine = Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert);
 //! let result = nfi_acd(&asg, &machine, 1, Norm::Chebyshev).unwrap();
 //! assert!(result.acd() >= 0.0);
 //! ```
@@ -54,7 +54,6 @@ pub mod assignment;
 pub mod cache;
 pub mod clustering;
 pub mod error;
-pub mod experiment;
 pub mod ffi;
 pub mod journal;
 pub mod load;
@@ -63,7 +62,6 @@ pub mod model3d;
 pub mod nfi;
 pub mod obs;
 pub mod oracle;
-pub mod pattern;
 pub mod report;
 pub mod runner;
 mod scan;
@@ -76,7 +74,6 @@ pub use anns::{anns_radius, StretchResult};
 pub use assignment::Assignment;
 pub use cache::{CacheCounters, CachedArtifact, MemTierStats, ResultCache, TierHit, KERNEL_VERSION};
 pub use error::SfcError;
-pub use experiment::{AcdExperiment, AcdMeasurement};
 pub use machine::Machine;
 pub use obs::{Counter, Gauge, Histogram, MetricsRegistry, TraceSink};
 pub use oracle::DistanceOracle;

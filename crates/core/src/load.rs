@@ -322,7 +322,7 @@ mod tests {
     #[test]
     fn hilbert_congestion_no_worse_than_row_major() {
         let particles = sample(Distribution::uniform(), 7, 2000, 3);
-        let machine_of = |c| Machine::grid(TopologyKind::Torus, 256, c);
+        let machine_of = |c| Machine::new(TopologyKind::Torus, 256, c);
         let load_of = |c| {
             let asg = Assignment::new(&particles, 7, c, 256);
             nfi_link_load(&asg, &machine_of(c), 1, Norm::Chebyshev)

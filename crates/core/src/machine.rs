@@ -35,38 +35,6 @@ impl Machine {
     /// topologies").
     pub fn new(kind: TopologyKind, num_ranks: u64, processor_curve: CurveKind) -> Self {
         let topo = kind.build(num_ranks);
-        Self::on_topology(topo, processor_curve)
-    }
-
-    /// Fallible variant of [`Machine::new`]: reports a processor count that
-    /// is not a power of four as a typed error instead of panicking, so
-    /// sweep harnesses can validate a configuration before running it.
-    pub fn try_new(
-        kind: TopologyKind,
-        num_ranks: u64,
-        processor_curve: CurveKind,
-    ) -> Result<Self, SfcError> {
-        if !num_ranks.is_power_of_two() || !num_ranks.trailing_zeros().is_multiple_of(2) {
-            return Err(SfcError::NonPowerOfFourProcessors {
-                num_processors: num_ranks,
-            });
-        }
-        Ok(Self::new(kind, num_ranks, processor_curve))
-    }
-
-    /// Build a machine on a grid topology with an SFC rank placement.
-    /// Convenience alias of [`Machine::new`] that documents intent at call
-    /// sites.
-    pub fn grid(kind: TopologyKind, num_ranks: u64, processor_curve: CurveKind) -> Self {
-        assert!(
-            matches!(kind, TopologyKind::Mesh | TopologyKind::Torus),
-            "Machine::grid expects a mesh or torus, got {kind}"
-        );
-        Self::new(kind, num_ranks, processor_curve)
-    }
-
-    /// Build from an already-constructed topology.
-    pub fn on_topology(topo: Box<dyn Topology>, processor_curve: CurveKind) -> Self {
         let p = topo.num_nodes();
         let (node_of_rank, used_curve): (Vec<u64>, _) = match topo.grid_side() {
             Some(side) => {
@@ -194,7 +162,7 @@ mod tests {
 
     #[test]
     fn grid_machine_uses_curve_placement() {
-        let m = Machine::grid(TopologyKind::Torus, 64, CurveKind::Hilbert);
+        let m = Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert);
         assert_eq!(m.num_ranks(), 64);
         assert_eq!(m.processor_curve(), Some(CurveKind::Hilbert));
         // Hilbert consecutive ranks are physically adjacent.
@@ -214,7 +182,7 @@ mod tests {
 
     #[test]
     fn row_major_on_mesh_matches_grid_arithmetic() {
-        let m = Machine::grid(TopologyKind::Mesh, 16, CurveKind::RowMajor);
+        let m = Machine::new(TopologyKind::Mesh, 16, CurveKind::RowMajor);
         // Rank 0 at (0,0), rank 15 at (3,3): 6 hops.
         assert_eq!(m.distance(0, 15), 6);
         // Rank 3 at (3,0), rank 4 at (0,1): 4 hops.
@@ -230,30 +198,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expects a mesh or torus")]
-    fn grid_constructor_rejects_non_grids() {
-        let _ = Machine::grid(TopologyKind::Hypercube, 64, CurveKind::Hilbert);
-    }
-
-    #[test]
-    fn try_new_validates_processor_count() {
-        use crate::error::SfcError;
-        for bad in [0u64, 3, 32, 48, 100] {
-            match Machine::try_new(TopologyKind::Torus, bad, CurveKind::Hilbert) {
-                Err(SfcError::NonPowerOfFourProcessors { num_processors }) => {
-                    assert_eq!(num_processors, bad)
-                }
-                other => panic!("expected error for {bad}, got {other:?}"),
-            }
-        }
-        let m = Machine::try_new(TopologyKind::Torus, 64, CurveKind::Hilbert).unwrap();
-        assert_eq!(m.num_ranks(), 64);
-    }
-
-    #[test]
     fn num_links_delegates_to_topology() {
         // 8×8 torus: 2 rings per row and column of 8 edges each.
-        let m = Machine::grid(TopologyKind::Torus, 64, CurveKind::Hilbert);
+        let m = Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert);
         assert_eq!(m.num_links(), 2 * (8 * 8 + 8 * 8));
         let m = Machine::new(TopologyKind::Hypercube, 64, CurveKind::Hilbert);
         assert_eq!(m.num_links(), 64 * 6);
@@ -271,7 +218,7 @@ mod tests {
 
     #[test]
     fn small_machines_carry_an_oracle_and_it_can_be_ablated() {
-        let m = Machine::grid(TopologyKind::Torus, 64, CurveKind::Hilbert);
+        let m = Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert);
         assert!(m.has_oracle());
         assert_eq!(m.distance_row(0).unwrap().len(), 64);
         let m = m.without_oracle();
@@ -330,7 +277,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range for a machine with 16 ranks")]
     fn out_of_range_rank_panics_with_bounds_message() {
-        let m = Machine::grid(TopologyKind::Mesh, 16, CurveKind::Hilbert).without_oracle();
+        let m = Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert).without_oracle();
         let _ = m.distance(0, 99);
     }
 
@@ -339,7 +286,7 @@ mod tests {
         use sfc_curves::Point2;
         let particles = vec![Point2::new(0, 0), Point2::new(1, 1)];
         let asg = Assignment::new(&particles, 2, CurveKind::Hilbert, 64);
-        let small = Machine::grid(TopologyKind::Mesh, 16, CurveKind::Hilbert);
+        let small = Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert);
         match small.check_assignment(&asg) {
             Err(SfcError::MachineTooSmall {
                 machine_ranks,
@@ -350,7 +297,7 @@ mod tests {
             }
             other => panic!("expected MachineTooSmall, got {other:?}"),
         }
-        let big = Machine::grid(TopologyKind::Mesh, 64, CurveKind::Hilbert);
+        let big = Machine::new(TopologyKind::Mesh, 64, CurveKind::Hilbert);
         assert!(big.check_assignment(&asg).is_ok());
     }
 }

@@ -137,7 +137,7 @@ mod tests {
     fn two_adjacent_particles_two_ranks() {
         let particles = pts(&[(0, 0), (1, 0)]);
         let asg = Assignment::new(&particles, 2, CurveKind::RowMajor, 2);
-        let machine = Machine::grid(TopologyKind::Mesh, 16, CurveKind::RowMajor);
+        let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::RowMajor);
         let res = nfi_acd(&asg, &machine, 1, Norm::Chebyshev).unwrap();
         assert_eq!(res.num_comms, 2);
         assert_eq!(res.local_comms, 0);
@@ -151,7 +151,7 @@ mod tests {
     fn same_rank_is_free() {
         let particles = pts(&[(0, 0), (1, 0)]);
         let asg = Assignment::new(&particles, 2, CurveKind::RowMajor, 1);
-        let machine = Machine::grid(TopologyKind::Mesh, 16, CurveKind::RowMajor);
+        let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::RowMajor);
         let res = nfi_acd(&asg, &machine, 1, Norm::Chebyshev).unwrap();
         assert_eq!(res.num_comms, 2);
         assert_eq!(res.local_comms, 2);
@@ -174,7 +174,7 @@ mod tests {
         }
         let particles = pts(&coords);
         let asg = Assignment::new(&particles, 2, CurveKind::RowMajor, 1);
-        let machine = Machine::grid(TopologyKind::Mesh, 16, CurveKind::RowMajor);
+        let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::RowMajor);
         let cheb = nfi_acd(&asg, &machine, 1, Norm::Chebyshev).unwrap();
         let manh = nfi_acd(&asg, &machine, 1, Norm::Manhattan).unwrap();
         // Chebyshev: 4 corners*3 + 4 edges*5 + 1 center*8 = 40 exchanges.
@@ -188,7 +188,7 @@ mod tests {
     fn isolated_particles_no_comms() {
         let particles = pts(&[(0, 0), (7, 7)]);
         let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 2);
-        let machine = Machine::grid(TopologyKind::Torus, 64, CurveKind::Hilbert);
+        let machine = Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert);
         let res = nfi_acd(&asg, &machine, 1, Norm::Chebyshev).unwrap();
         assert_eq!(res.num_comms, 0);
         assert_eq!(res.acd(), 0.0);
@@ -199,7 +199,7 @@ mod tests {
     fn radius_expands_neighborhood() {
         let particles = pts(&[(0, 0), (3, 0)]);
         let asg = Assignment::new(&particles, 3, CurveKind::RowMajor, 2);
-        let machine = Machine::grid(TopologyKind::Torus, 64, CurveKind::RowMajor);
+        let machine = Machine::new(TopologyKind::Torus, 64, CurveKind::RowMajor);
         for r in 1..=2 {
             let res = nfi_acd(&asg, &machine, r, Norm::Chebyshev).unwrap();
             assert_eq!(res.num_comms, 0, "radius {r}");
@@ -213,7 +213,7 @@ mod tests {
     fn boundary_clipping() {
         let particles = pts(&[(0, 0), (0, 1), (1, 0)]);
         let asg = Assignment::new(&particles, 1, CurveKind::Hilbert, 1);
-        let machine = Machine::grid(TopologyKind::Mesh, 4, CurveKind::Hilbert);
+        let machine = Machine::new(TopologyKind::Mesh, 4, CurveKind::Hilbert);
         let res = nfi_acd(&asg, &machine, 2, Norm::Chebyshev).unwrap();
         // All pairs within radius 2: 3 unordered pairs = 6 directed.
         assert_eq!(res.num_comms, 6);
@@ -225,7 +225,7 @@ mod tests {
     fn directed_counting_is_symmetric() {
         let particles = pts(&[(0, 0), (1, 1), (2, 2), (0, 2)]);
         let asg = Assignment::new(&particles, 2, CurveKind::ZCurve, 4);
-        let machine = Machine::grid(TopologyKind::Mesh, 16, CurveKind::ZCurve);
+        let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::ZCurve);
         let res = nfi_acd(&asg, &machine, 2, Norm::Chebyshev).unwrap();
         assert_eq!(res.num_comms % 2, 0);
         assert_eq!(res.total_distance % 2, 0);
@@ -235,7 +235,7 @@ mod tests {
     fn zero_radius_rejected() {
         let particles = pts(&[(0, 0)]);
         let asg = Assignment::new(&particles, 2, CurveKind::Hilbert, 1);
-        let machine = Machine::grid(TopologyKind::Mesh, 16, CurveKind::Hilbert);
+        let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert);
         let err = nfi_acd(&asg, &machine, 0, Norm::Chebyshev).unwrap_err();
         assert_eq!(err, crate::error::SfcError::ZeroRadius);
         // The typed error still renders the human-readable message callers
@@ -251,7 +251,7 @@ mod tests {
         use crate::error::SfcError;
         let particles = pts(&[(0, 0), (1, 0)]);
         let asg = Assignment::new(&particles, 2, CurveKind::Hilbert, 4);
-        let machine = Machine::grid(TopologyKind::Mesh, 16, CurveKind::Hilbert);
+        let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert);
         assert_eq!(
             nfi_acd(&asg, &machine, 0, Norm::Chebyshev),
             Err(SfcError::ZeroRadius)
@@ -288,8 +288,8 @@ mod tests {
             let sparse = dense.clone().without_dense_grid();
             assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
             for topo in [TopologyKind::Mesh, TopologyKind::Torus] {
-                let cached = Machine::grid(topo, 16, curve);
-                let plain = Machine::grid(topo, 16, curve).without_oracle();
+                let cached = Machine::new(topo, 16, curve);
+                let plain = Machine::new(topo, 16, curve).without_oracle();
                 for norm in [Norm::Chebyshev, Norm::Manhattan] {
                     for radius in 1..=4 {
                         let want = nfi_acd(&dense, &cached, radius, norm);
@@ -314,8 +314,8 @@ mod tests {
         }
         let particles = pts(&coords);
         let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 16);
-        let cached = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert);
-        let plain = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert).without_oracle();
+        let cached = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert);
+        let plain = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert).without_oracle();
         for norm in [Norm::Chebyshev, Norm::Manhattan] {
             for r in 1..=3 {
                 assert_eq!(

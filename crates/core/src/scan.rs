@@ -232,8 +232,8 @@ mod tests {
     fn probe_branch_matches_dense_rows() {
         let (dense, probed) = level();
         for machine in [
-            Machine::grid(TopologyKind::Mesh, 16, CurveKind::Hilbert),
-            Machine::grid(TopologyKind::Mesh, 16, CurveKind::Hilbert).without_oracle(),
+            Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert),
+            Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert).without_oracle(),
         ] {
             for rank in [0, 5, 14] {
                 let from = Sender::new(&machine, rank);
@@ -256,7 +256,7 @@ mod tests {
     #[test]
     fn probe_branch_counts_local_and_remote_exchanges() {
         let (_, probed) = level();
-        let machine = Machine::grid(TopologyKind::Mesh, 16, CurveKind::RowMajor).without_oracle();
+        let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::RowMajor).without_oracle();
         let from = Sender::new(&machine, 5);
         let mut acc = Tally::default();
         // Row 1 is [_, 5, 5, _]; cutting out x = 1 leaves one local cell.

@@ -4,10 +4,8 @@
 //! the Section VI-C parametric studies and the Section VIII extension
 //! studies — is fully determined by a handful of axes: which curves, which
 //! topologies, which input distributions, at what resolution and particle
-//! count, over how many trials, from which seed. Before this module each
-//! binary carried its own ad-hoc bundle of those axes (an [`AcdExperiment`]
-//! here, a hard-coded sweep loop there, a flag struct in between).
-//! [`ExperimentSpec`] replaces them with one serializable description that
+//! count, over how many trials, from which seed. [`ExperimentSpec`] is one
+//! serializable description of those axes that
 //!
 //! - every binary **parses its flags into** (the flag struct is now a
 //!   constructor of specs),
@@ -27,7 +25,6 @@
 //! [`ExperimentSpec::canonical_hash`].
 
 use crate::error::SfcError;
-use crate::experiment::AcdExperiment;
 use crate::sha256::sha256_hex;
 use serde_json::{json, Map, Value};
 use sfc_curves::point::Norm;
@@ -435,45 +432,10 @@ impl ExperimentSpec {
         }
     }
 
-    /// The single-cell [`AcdExperiment`]s this spec's ACD axes describe: the
-    /// cross-product of distributions × topologies × processor counts ×
-    /// particle curves × processor curves at the first radius. The ad-hoc
-    /// per-binary configs are views of this enumeration.
-    pub fn acd_experiments(&self) -> Vec<AcdExperiment> {
-        let radius = self.radii.first().copied().unwrap_or(1);
-        let mut out = Vec::new();
-        for &dist in &self.distributions {
-            let workload = self.workload(dist);
-            for &topology in &self.topologies {
-                for &num_processors in &self.processors {
-                    for &particle_curve in &self.particle_curves {
-                        let processor_curves: &[CurveKind] = if self.processor_curves.is_empty() {
-                            std::slice::from_ref(&particle_curve)
-                        } else {
-                            &self.processor_curves
-                        };
-                        for &processor_curve in processor_curves {
-                            out.push(AcdExperiment {
-                                workload,
-                                particle_curve,
-                                processor_curve,
-                                topology,
-                                num_processors,
-                                radius,
-                                norm: self.norm,
-                                trials: self.trials,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Check the spec before any work happens: the axes the artifact's
-    /// driver indexes and its renderer labels, then
-    /// [`AcdExperiment::validate`] across every axis combination.
+    /// driver indexes and its renderer labels, power-of-four processor
+    /// counts, nonzero radii, and a samplable workload whose grid is wider
+    /// than the first radius.
     pub fn validate(&self) -> Result<(), SfcError> {
         if self.trials == 0 {
             return Err(SfcError::NoTrials);
@@ -484,8 +446,22 @@ impl ExperimentSpec {
                 return Err(SfcError::NonPowerOfFourProcessors { num_processors: p });
             }
         }
-        for e in self.acd_experiments() {
-            e.validate()?;
+        if self.radii.contains(&0) {
+            return Err(SfcError::ZeroRadius);
+        }
+        // Every distribution samples the same grid and particle count, so
+        // one workload check covers them all; a spec that samples nothing
+        // (Figure 5) has none to check.
+        if let Some(&dist) = self.distributions.first() {
+            let workload = self.workload(dist);
+            workload.validate()?;
+            let radius = self.radii.first().copied().unwrap_or(1);
+            if u64::from(radius) >= workload.side() {
+                return Err(SfcError::RadiusExceedsGrid {
+                    radius,
+                    side: workload.side(),
+                });
+            }
         }
         for &n in &self.particle_counts {
             Workload {
@@ -891,21 +867,35 @@ mod tests {
     }
 
     #[test]
-    fn acd_experiments_enumerate_the_table_grid() {
-        let spec = ExperimentSpec::table1(4, 2, 99);
-        let exps = spec.acd_experiments();
-        // 3 distributions × 1 topology × 1 processor count × 4×4 curve pairs.
-        assert_eq!(exps.len(), 48);
-        for e in &exps {
-            assert_eq!(e.validate(), Ok(()));
-            assert_eq!(e.num_processors, 256);
-            assert_eq!(e.trials, 2);
-        }
-        // Tied-curve specs enumerate the diagonal only.
-        let fig6 = ExperimentSpec::figure6(5, 1, 3);
-        let exps = fig6.acd_experiments();
-        assert_eq!(exps.len(), 6 * 4);
-        assert!(exps.iter().all(|e| e.particle_curve == e.processor_curve));
+    fn validate_checks_the_workload_and_radii() {
+        let good = ExperimentSpec::table1(4, 1, 7);
+        let side = 1u64 << good.grid_order;
+
+        let mut bad = good.clone();
+        bad.grid_order = 40;
+        assert!(matches!(bad.validate(), Err(SfcError::Workload(_))));
+
+        let mut bad = good.clone();
+        bad.particles = side * side; // beyond the grid's capacity
+        assert!(matches!(bad.validate(), Err(SfcError::Workload(_))));
+
+        let mut bad = good.clone();
+        bad.radii = vec![side as u32];
+        assert_eq!(
+            bad.validate(),
+            Err(SfcError::RadiusExceedsGrid {
+                radius: side as u32,
+                side
+            })
+        );
+
+        // A zero radius fails anywhere in the list, not only in first place.
+        let mut bad = ExperimentSpec::parametric(5, 1, 7);
+        assert_eq!(bad.validate(), Ok(()));
+        bad.radii = vec![1, 2, 0];
+        assert_eq!(bad.validate(), Err(SfcError::ZeroRadius));
+        bad.radii = vec![0];
+        assert_eq!(bad.validate(), Err(SfcError::ZeroRadius));
     }
 
     #[test]

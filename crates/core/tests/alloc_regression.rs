@@ -84,7 +84,7 @@ fn ffi_sweep_allocates_nothing_after_tree_build() {
     let particles = workload();
     let dense = Assignment::new(&particles, 4, CurveKind::Hilbert, 16);
     let sparse = dense.clone().without_dense_grid();
-    let machine = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert);
+    let machine = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert);
     let mut expected = None;
     for asg in [&dense, &sparse] {
         let tree = OwnerTree::build(asg);
@@ -117,7 +117,7 @@ fn owner_tree_rebuild_reuses_the_pyramid() {
         allocs, 0,
         "rebuild at an unchanged grid order must reuse its tables"
     );
-    let machine = Machine::grid(TopologyKind::Torus, 16, CurveKind::RowMajor);
+    let machine = Machine::new(TopologyKind::Torus, 16, CurveKind::RowMajor);
     assert_eq!(
         ffi_acd_with_tree(&second, &machine, &tree).unwrap(),
         ffi_acd_with_tree(&second, &machine, &OwnerTree::build(&second)).unwrap()
@@ -128,7 +128,7 @@ fn owner_tree_rebuild_reuses_the_pyramid() {
 fn nfi_row_scan_allocates_nothing() {
     let particles = workload();
     let asg = Assignment::new(&particles, 4, CurveKind::Hilbert, 16);
-    let machine = Machine::grid(TopologyKind::Torus, 16, CurveKind::Hilbert);
+    let machine = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert);
     let expected = nfi_acd(&asg, &machine, 2, Norm::Chebyshev).unwrap();
     let (allocs, got) = allocations_during(|| nfi_acd(&asg, &machine, 2, Norm::Chebyshev).unwrap());
     assert_eq!(got, expected);

@@ -51,7 +51,6 @@ pub mod curve3d;
 pub mod gray;
 pub mod hilbert;
 pub mod moore;
-pub mod peano;
 pub mod morton;
 pub mod point;
 pub mod recursive;
@@ -63,7 +62,6 @@ pub use any::AnyCurve2d;
 pub use gray::GrayCurve;
 pub use hilbert::HilbertCurve;
 pub use moore::MooreCurve;
-pub use peano::PeanoCurve;
 pub use morton::ZCurve;
 pub use point::Point2;
 pub use rowmajor::{Boustrophedon, ColumnMajor, RowMajor};

@@ -307,29 +307,67 @@ fn parse_items(op: &str, obj: &Map) -> Result<Vec<(Box<ExperimentSpec>, Format)>
         .collect()
 }
 
+/// A request line that failed to parse or validate, carrying the
+/// correlation fields read before the failure so the error answer still
+/// names the client's request.
+#[derive(Debug)]
+pub struct ParseError {
+    /// The client's `id`; null when the line is not a JSON object or
+    /// names none.
+    pub id: Value,
+    /// The client's `request_id`, when the object names one as a string.
+    pub request_id: Option<String>,
+    /// What is wrong with the request.
+    pub message: String,
+}
+
 impl Request {
     /// Parse one JSON request line. `scale`/`trials`/`seed` default to the
     /// binaries' flag defaults, so a request describes the same experiment
     /// the equivalent command line would. The middle tuple element is the
     /// client-supplied `request_id`, if the request object names one — the
-    /// daemon echoes it instead of generating its own.
-    pub fn parse(line: &str) -> Result<(Value, Option<String>, Request), String> {
-        let doc: Value = serde_json::from_str(line).map_err(|e| format!("bad JSON: {e}"))?;
-        let obj = doc.as_object().ok_or("request must be a JSON object")?;
-        let id = obj.get("id").cloned().unwrap_or(Value::Null);
-        let request_id = match obj.get("request_id") {
-            None => None,
-            Some(v) => Some(
-                v.as_str()
-                    .ok_or("`request_id` must be a string")?
-                    .to_string(),
-            ),
+    /// daemon echoes it instead of generating its own. A failure keeps the
+    /// `id` and `request_id` it read, so the error answer echoes them too.
+    pub fn parse(line: &str) -> Result<(Value, Option<String>, Request), ParseError> {
+        let anonymous = |message: String| ParseError {
+            id: Value::Null,
+            request_id: None,
+            message,
         };
+        let doc: Value =
+            serde_json::from_str(line).map_err(|e| anonymous(format!("bad JSON: {e}")))?;
+        let obj = doc
+            .as_object()
+            .ok_or_else(|| anonymous("request must be a JSON object".into()))?;
+        let id = obj.get("id").cloned().unwrap_or(Value::Null);
+        let request_id = match obj.get("request_id").map(Value::as_str) {
+            None => None,
+            Some(Some(rid)) => Some(rid.to_string()),
+            Some(None) => {
+                return Err(ParseError {
+                    id,
+                    request_id: None,
+                    message: "`request_id` must be a string".into(),
+                })
+            }
+        };
+        match Self::parse_op(obj) {
+            Ok(req) => Ok((id, request_id, req)),
+            Err(message) => Err(ParseError {
+                id,
+                request_id,
+                message,
+            }),
+        }
+    }
+
+    /// The op-specific part of [`Request::parse`].
+    fn parse_op(obj: &Map) -> Result<Request, String> {
         let op = obj
             .get("op")
             .and_then(Value::as_str)
             .ok_or("missing `op` field")?;
-        let req = match op {
+        Ok(match op {
             "stats" => Request::Stats,
             "health" => Request::Health,
             "metrics" => Request::Metrics,
@@ -351,8 +389,7 @@ impl Request {
                     .collect(),
             },
             other => return Err(format!("unknown op `{other}`")),
-        };
-        Ok((id, request_id, req))
+        })
     }
 }
 
@@ -830,9 +867,9 @@ impl Server {
             Ok(parsed) => parsed,
             Err(e) => {
                 return (
-                    typed_error(Value::Null, error_kind::BAD_REQUEST, &e, None),
+                    typed_error(e.id, error_kind::BAD_REQUEST, &e.message, None),
                     "bad_request",
-                    self.next_request_id(),
+                    e.request_id.unwrap_or_else(|| self.next_request_id()),
                 )
             }
         };
@@ -2684,9 +2721,31 @@ mod tests {
         let rid = anon.doc.get("request_id").and_then(Value::as_str).unwrap();
         assert!(!rid.is_empty());
 
-        // A non-string request_id is refused, not silently replaced.
-        let bad = server.handle_line(r#"{"op": "stats", "request_id": 7}"#);
+        // A non-string request_id is refused, not silently replaced, and
+        // the refusal keeps the id it sits next to.
+        let bad = server.handle_line(r#"{"id": 6, "op": "stats", "request_id": 7}"#);
         assert_eq!(kind_of(&bad), "bad_request");
+        assert_eq!(bad.doc.get("id"), Some(&6u64.to_json()));
+
+        // A spec that fails validation, or an unknown op, still echoes the
+        // client's id and request_id; bad JSON names no request.
+        for (line, id, rid) in [
+            (
+                r#"{"id": 5, "op": "run", "artifact": "table1", "scale": 4, "trials": 1, "processors": [48], "request_id": "abc"}"#,
+                5u64.to_json(),
+                Some("abc"),
+            ),
+            (r#"{"id": "x", "op": "frobnicate"}"#, "x".to_json(), None),
+            (r#"{"id": 7, "op": "#, Value::Null, None),
+        ] {
+            let resp = server.handle_line(line);
+            assert_eq!(kind_of(&resp), "bad_request", "{line}");
+            assert_eq!(resp.doc.get("id"), Some(&id), "{line}");
+            let echoed = resp.doc.get("request_id").and_then(Value::as_str).unwrap();
+            if let Some(rid) = rid {
+                assert_eq!(echoed, rid, "{line}");
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod bfs;
-pub mod bisection;
 pub mod bus;
 pub mod hypercube;
 pub mod kind;
@@ -46,7 +45,6 @@ pub mod quadtree_net;
 pub mod rankmap;
 pub mod ring;
 
-pub use bisection::bisection_width;
 pub use bus::Bus;
 pub use hypercube::Hypercube;
 pub use kind::TopologyKind;
@@ -85,7 +83,7 @@ pub trait Topology: Send + Sync {
 
     /// Total number of *directed* links in the network: every physical
     /// channel counted once per direction, matching how
-    /// [`bfs`](crate::bfs) and the link-load model treat `(from, to)`
+    /// [`bfs`] and the link-load model treat `(from, to)`
     /// pairs. Load statistics normalize by this, so an idle link counts
     /// toward the mean — a workload concentrating traffic on 2 of 1000
     /// links must report a large imbalance, not a perfect one.

@@ -86,7 +86,7 @@ fn main() {
     let mut best = (f64::INFINITY, CurveKind::Hilbert);
     for curve in CurveKind::PAPER {
         let asg = Assignment::new(&cells, grid_order, curve, procs);
-        let machine = Machine::grid(TopologyKind::Torus, procs, curve);
+        let machine = Machine::new(TopologyKind::Torus, procs, curve);
         let nfi = nfi_acd(&asg, &machine, 1, Norm::Chebyshev).unwrap();
         let ffi = ffi_acd(&asg, &machine).unwrap();
         let total = nfi.acd() + ffi.acd();

@@ -93,7 +93,7 @@ fn measure(state: &State, step: usize) {
     let mut acds = Vec::new();
     for curve in CurveKind::PAPER {
         let asg = Assignment::new(&cells, order, curve, procs);
-        let machine = Machine::grid(TopologyKind::Torus, procs, curve);
+        let machine = Machine::new(TopologyKind::Torus, procs, curve);
         acds.push(nfi_acd(&asg, &machine, 1, Norm::Chebyshev).unwrap().acd());
     }
     println!(

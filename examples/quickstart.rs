@@ -34,7 +34,7 @@ fn main() {
         // Step 1-2: order the particles by the curve and chunk them.
         let asg = Assignment::new(&particles, grid_order, curve, num_processors);
         // Step 3: rank the processors with the same curve.
-        let machine = Machine::grid(TopologyKind::Torus, num_processors, curve);
+        let machine = Machine::new(TopologyKind::Torus, num_processors, curve);
         // Step 4: replay one FMM time step's communication.
         let nfi = nfi_acd(&asg, &machine, 1, Norm::Chebyshev).unwrap();
         let ffi = ffi_acd(&asg, &machine).unwrap();

@@ -127,7 +127,7 @@ fn fmm_solver_and_assignment_share_the_z_order() {
 #[test]
 fn machine_matches_ranked_network() {
     use sfc_analysis::topology::{RankedNetwork, Torus2d};
-    let machine = Machine::grid(TopologyKind::Torus, 256, CurveKind::Gray);
+    let machine = Machine::new(TopologyKind::Torus, 256, CurveKind::Gray);
     let net = RankedNetwork::with_sfc_ranks(Torus2d::square(4), CurveKind::Gray);
     for a in (0..256u32).step_by(17) {
         for b in (0..256u32).step_by(13) {
