@@ -12,19 +12,24 @@
 //!   longer floor-bounded by an accept-loop sleep, while SIGTERM and
 //!   `shutdown` are still noticed promptly.
 //! * `--pipe` — JSON-lines over stdin/stdout (CI and scripting). Each
-//!   request is handled on its own thread and responses are written as they
-//!   complete, so two identical requests sent back-to-back exercise the
-//!   same in-flight dedup path as two socket clients. Correlate responses
-//!   by `id`.
+//!   request is handled on its own detached thread and responses are
+//!   written as they complete, so two identical requests sent back-to-back
+//!   exercise the same in-flight dedup path as two socket clients.
+//!   Correlate responses by `id`. The reader polls stdin like the accept
+//!   loop polls the socket, so SIGTERM and `shutdown` are noticed without
+//!   waiting for another line.
 //!
 //! ## Lifecycle
 //!
-//! SIGTERM/SIGINT and the `shutdown` op both trigger a graceful drain: the
-//! daemon stops accepting new work (connections accepted mid-drain get one
-//! typed `error_kind: "draining"` refusal line), answers every request it
-//! already accepted — bounded by `--deadline-ms` when set, 30 s otherwise —
-//! flushes a final stats line to stderr, removes the socket file and exits
-//! 0.
+//! SIGTERM/SIGINT and the `shutdown` op both trigger a graceful drain, in
+//! either transport: the daemon stops accepting new work (connections
+//! accepted mid-drain get one typed `error_kind: "draining"` refusal
+//! line), waits on the server's idle condvar until every request it
+//! already accepted is answered — bounded by twice `--deadline-ms` when
+//! set, 30 s otherwise — flushes a final stats line to stderr, removes the
+//! socket file and exits 0. EOF on stdin in pipe mode waits, unbounded,
+//! for the answers to every line read, then flushes the stats line and
+//! exits 0.
 //!
 //! ## Chaos hooks (test-only, deterministic)
 //!
@@ -39,7 +44,7 @@
 use serde_json::to_string;
 use sfc_serve::{drain_refusal_line, LogLimiter, Server, ServerOptions};
 use std::io::{BufRead, BufReader, Write};
-use std::os::unix::io::AsRawFd;
+use std::os::fd::{AsFd, AsRawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
@@ -79,9 +84,9 @@ mod signals {
     }
 }
 
-/// Minimal `poll(2)` binding for the accept loop. Declared here (like
-/// `signal(2)` above) to avoid a libc dependency; the daemon is unix-only
-/// already by virtue of `UnixListener`.
+/// Minimal `poll(2)` binding for the accept loop and the pipe reader.
+/// Declared here (like `signal(2)` above) to avoid a libc dependency; the
+/// daemon is unix-only already by virtue of `UnixListener`.
 mod readiness {
     use std::time::Duration;
 
@@ -294,76 +299,81 @@ fn drain_bound(flags: &Flags) -> Duration {
     }
 }
 
-/// Wait until every accepted request has been answered and no computation
-/// is in flight (or the bound expires), then flush the final stats line.
+/// Refuse new work, wait until every accepted request has been answered
+/// and no computation is in flight (or the bound expires), then flush the
+/// final stats line.
 fn drain(server: &Server, bound: Duration) {
     server.begin_drain();
-    eprintln!("# sfc-serve: draining ({} in flight)", server.inflight_len());
-    let deadline = Instant::now() + bound;
-    let mut quiet_polls = 0;
-    while Instant::now() < deadline {
-        if server.active_requests() == 0 && server.inflight_len() == 0 {
-            // Settle a few polls: a request's response write happens inside
-            // its active-token scope, but give the transport threads a
-            // moment to observe the world anyway.
-            quiet_polls += 1;
-            if quiet_polls >= 3 {
-                break;
-            }
-        } else {
-            quiet_polls = 0;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    eprintln!(
+        "# sfc-serve: draining ({} in flight)",
+        server.inflight_len()
+    );
+    server.wait_idle(Some(Instant::now() + bound));
     eprintln!("# sfc-serve: final stats {}", server.stats_line());
 }
 
-/// Pipe mode: one worker thread per request line, responses interleaved on
-/// stdout as they complete (each as a single line, correlated by `id`).
-fn serve_pipe(server: Arc<Server>) {
+/// Pipe mode: one detached thread per request line, responses interleaved
+/// on stdout as they complete (each as a single line, correlated by `id`).
+/// The reader polls stdin whenever its buffer is empty, so SIGTERM and the
+/// `shutdown` op stop it without waiting for another line; EOF stops it
+/// too. Each line's active-request token is taken here, before its thread
+/// starts, so the drain that follows waits for every line read.
+fn serve_pipe(server: Arc<Server>, bound: Duration) {
     signals::install();
+    let Ok(stdin) = std::io::stdin().as_fd().try_clone_to_owned() else {
+        eprintln!("error: pipe mode needs an open stdin");
+        std::process::exit(2);
+    };
+    let fd = stdin.as_raw_fd();
+    let mut reader = BufReader::new(std::fs::File::from(stdin));
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut workers = Vec::new();
-    for line in std::io::stdin().lock().lines() {
-        let line = match line {
-            Ok(l) => l,
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
+    let at_eof = loop {
+        if signals::term_requested() || server.draining() {
+            break false;
         }
-        let server_for_worker = Arc::clone(&server);
+        // A failed poll falls through to the read, which reports it.
+        if reader.buffer().is_empty() {
+            if let readiness::Readiness::TimedOut | readiness::Readiness::Interrupted =
+                readiness::wait_readable(fd, ACCEPT_POLL)
+            {
+                continue;
+            }
+        }
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) | Err(_) => break true,
+            Ok(_) if line.trim().is_empty() => continue,
+            Ok(_) => {}
+        }
+        let active = server.track_active();
+        let server = Arc::clone(&server);
         let stdout = Arc::clone(&stdout);
-        let worker_stop = Arc::clone(&stop);
-        workers.push(std::thread::spawn(move || {
-            let _active = server_for_worker.track_active();
+        std::thread::spawn(move || {
+            let _active = active;
             // Batch item lines stream through `emit` as they complete;
             // the stdout mutex keeps each line atomic against other
             // request threads.
-            let mut emit = |doc: &serde_json::Value| {
-                let text = to_string(doc).expect("serialize item response");
-                let mut out = stdout.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                writeln!(out, "{text}").expect("write item response");
-                out.flush().expect("flush item response");
+            let mut write_line = |doc: &serde_json::Value| {
+                let text = to_string(doc).expect("serialize response");
+                let mut out = stdout
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                writeln!(out, "{text}").expect("write response");
+                out.flush().expect("flush response");
             };
-            let resp = server_for_worker.handle_line_with(&line, &mut emit);
-            let text = to_string(&resp.doc).expect("serialize response");
-            let mut out = stdout.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            writeln!(out, "{text}").expect("write response");
-            out.flush().expect("flush response");
-            if resp.shutdown {
-                worker_stop.store(true, Ordering::SeqCst);
-            }
-        }));
-        if stop.load(Ordering::SeqCst) || signals::term_requested() {
-            break;
-        }
+            let resp =
+                server.handle_line_with(line.trim_end_matches(['\n', '\r']), &mut write_line);
+            write_line(&resp.doc);
+        });
+    };
+    if at_eof {
+        // Input that ended asks only for its answers: wait for every one,
+        // without the drain flag that would refuse lines already read.
+        server.wait_idle(None);
+        eprintln!("# sfc-serve: final stats {}", server.stats_line());
+    } else {
+        drain(&server, bound);
     }
-    for w in workers {
-        let _ = w.join();
-    }
-    eprintln!("# sfc-serve: final stats {}", server.stats_line());
 }
 
 /// How long the accept loop blocks in `poll(2)` before re-checking the
@@ -511,23 +521,22 @@ fn serve_socket(
     drop(queue);
     // Drain: answer accepted work while refusing late connections with one
     // typed line each, then clean up the socket and exit 0.
-    server.begin_drain();
-    let refusals = std::thread::spawn({
-        let server = Arc::clone(&server);
-        move || {
-            while server.active_requests() > 0 || server.inflight_len() > 0 {
-                if let Ok((mut stream, _)) = listener.accept() {
-                    let _ = writeln!(stream, "{}", drain_refusal_line());
-                    let _ = stream.flush();
-                } else {
-                    std::thread::sleep(Duration::from_millis(5));
+    let drained = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !drained.load(Ordering::SeqCst) {
+                if let readiness::Readiness::Readable = readiness::wait_readable(fd, ACCEPT_POLL) {
+                    if let Ok((mut stream, _)) = listener.accept() {
+                        let _ = writeln!(stream, "{}", drain_refusal_line());
+                        let _ = stream.flush();
+                    }
                 }
             }
-        }
+        });
+        drain(&server, bound);
+        drained.store(true, Ordering::SeqCst);
     });
-    drain(&server, bound);
     let _ = std::fs::remove_file(path);
-    let _ = refusals.join();
 }
 
 /// Serve one socket connection. With `--chaos-disconnect K`, every K-th
@@ -631,7 +640,7 @@ fn main() {
     server.start_warmers(flags.warm_workers);
     let bound = drain_bound(&flags);
     if flags.pipe {
-        serve_pipe(server);
+        serve_pipe(server, bound);
     } else if let Some(path) = &flags.socket {
         serve_socket(server, path, flags.workers, flags.chaos_disconnect, bound);
     }

@@ -90,12 +90,22 @@
 //!   `retry_after_ms` hint instead of queueing unboundedly;
 //! * a draining daemon (SIGTERM or the `shutdown` op) answers everything it
 //!   already accepted and refuses new work with `error_kind: "draining"`.
+//!
+//! ## Request lifecycle
+//!
+//! One private `Inflight` type admits every `run`, `batch` item and warmer
+//! computation as a key's leader, a follower, or a typed refusal. Transports
+//! count requests with [`ActiveRequest`] tokens; drains and warmers block
+//! in [`Server::wait_idle`] rather than polling.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod inflight;
 pub mod response;
 
+pub use inflight::ActiveRequest;
+use inflight::{Admission, Inflight, Refusal, RunOutcome};
 use response::{HealthResponse, LatencyEntry, StatsResponse, SCHEMA_VERSION};
 use serde_json::{Map, ToJson, Value};
 use sfc_bench::artifact::{compute, ComputeOpts};
@@ -108,9 +118,9 @@ use sfc_core::{
     ArtifactKind, CacheCounters, CachedArtifact, Counter, ExperimentSpec, Gauge, MetricsRegistry,
     ResultCache, SfcError, TierHit, TraceSink,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -402,77 +412,6 @@ pub struct Response {
     pub shutdown: bool,
 }
 
-/// One in-flight computation: followers block on the condvar until the
-/// leader publishes the result — or their deadline expires.
-struct Slot {
-    result: Mutex<Option<RunOutcome>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            result: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Publish the leader's outcome and wake every follower. Publishing to
-    /// a slot whose followers have all timed out is a no-op, never a panic.
-    fn publish(&self, outcome: RunOutcome) {
-        *lock_recover(&self.result) = Some(outcome);
-        self.ready.notify_all();
-    }
-
-    /// Wait for the leader's outcome, bounded by `deadline`; `None` means
-    /// the deadline expired first.
-    fn wait_deadline(&self, deadline: Option<Instant>) -> Option<RunOutcome> {
-        let mut guard = lock_recover(&self.result);
-        loop {
-            if let Some(outcome) = &*guard {
-                return Some(outcome.clone());
-            }
-            match deadline {
-                None => {
-                    guard = self
-                        .ready
-                        .wait(guard)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                }
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return None;
-                    }
-                    let (g, _) = self
-                        .ready
-                        .wait_timeout(guard, d - now)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    guard = g;
-                }
-            }
-        }
-    }
-}
-
-/// What one leader computation produced: an artifact to serve (and possibly
-/// cache), or a typed failure that leader and followers all report.
-#[derive(Clone)]
-enum RunOutcome {
-    /// The artifact the run produced plus whether the sweep completed (an
-    /// incomplete artifact is served but never cached).
-    Ok {
-        artifact: Arc<CachedArtifact>,
-        complete: bool,
-    },
-    /// The computation failed (panicked, or outlived its deadline); nothing
-    /// was cached.
-    Failed {
-        kind: &'static str,
-        message: String,
-    },
-}
-
 /// Accumulated kernel-phase time of every cell this daemon computed, in
 /// microseconds, one series per phase name.
 const PHASE_US: &str = "sfc_serve_phase_us_total";
@@ -670,19 +609,7 @@ impl Default for ServerOptions {
     }
 }
 
-/// An RAII token counting one request currently being handled (including
-/// writing its response). Transports hold one around `handle_line` plus the
-/// response write so a draining daemon knows when every accepted request
-/// has been fully answered.
-pub struct ActiveRequest<'a>(&'a AtomicU64);
-
-impl Drop for ActiveRequest<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// The daemon core: a result cache, the in-flight dedup table and the
+/// The daemon core: a result cache, the in-flight lifecycle and the
 /// counters. Transport-independent — the socket and pipe front ends both
 /// feed request lines to [`Server::handle_line`] from as many threads as
 /// they like.
@@ -691,7 +618,9 @@ pub struct Server {
     registry: Arc<MetricsRegistry>,
     m: ServeMetrics,
     trace: TraceSink,
-    inflight: Mutex<HashMap<String, Arc<Slot>>>,
+    /// Admission, dedup, drain state and idleness of every computation and
+    /// active request.
+    lifecycle: Arc<Inflight>,
     /// Background warm backlog, drained by [`Server::start_warmers`]
     /// threads when no interactive work is active.
     warm_queue: Mutex<VecDeque<ExperimentSpec>>,
@@ -699,11 +628,6 @@ pub struct Server {
     /// starts).
     warm_ready: Condvar,
     opts: ServerOptions,
-    /// Set once by [`Server::begin_drain`]; `run` requests are refused from
-    /// then on while `stats`/`health` stay answerable.
-    draining: AtomicBool,
-    /// Requests currently being handled (see [`Server::track_active`]).
-    active: AtomicU64,
     /// Computations started (for `--chaos-panic` determinism).
     computations_started: AtomicU64,
     /// Source of generated request identifiers.
@@ -742,12 +666,10 @@ impl Server {
             registry,
             m,
             trace,
-            inflight: Mutex::new(HashMap::new()),
+            lifecycle: Arc::new(Inflight::new(opts.max_inflight)),
             warm_queue: Mutex::new(VecDeque::new()),
             warm_ready: Condvar::new(),
             opts,
-            draining: AtomicBool::new(false),
-            active: AtomicU64::new(0),
             computations_started: AtomicU64::new(0),
             rid_counter: AtomicU64::new(0),
             rid_prefix: format!(
@@ -775,7 +697,7 @@ impl Server {
     /// is advisory and must never delay a drain — and counted as
     /// `warm_dropped`.
     pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        self.lifecycle.begin_drain();
         let dropped = lock_recover(&self.warm_queue).drain(..).count() as u64;
         if dropped > 0 {
             self.m.warm_dropped.add(dropped);
@@ -785,18 +707,25 @@ impl Server {
 
     /// Whether [`Server::begin_drain`] has been called.
     pub fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.lifecycle.draining()
     }
 
     /// Requests currently being handled (tracked via
     /// [`Server::track_active`]).
     pub fn active_requests(&self) -> u64 {
-        self.active.load(Ordering::SeqCst)
+        self.lifecycle.active_requests()
     }
 
     /// Computations currently in flight.
     pub fn inflight_len(&self) -> usize {
-        lock_recover(&self.inflight).len()
+        self.lifecycle.len()
+    }
+
+    /// Block until no computation is in flight and no request is active,
+    /// or until `deadline` (`None` waits indefinitely). Returns whether
+    /// the daemon went idle. Drains and warmers wait here; nothing polls.
+    pub fn wait_idle(&self, deadline: Option<Instant>) -> bool {
+        self.lifecycle.wait_idle(deadline)
     }
 
     /// Warm items waiting in the background queue.
@@ -805,9 +734,10 @@ impl Server {
     }
 
     /// Count one request as being handled until the returned token drops.
-    pub fn track_active(&self) -> ActiveRequest<'_> {
-        self.active.fetch_add(1, Ordering::SeqCst);
-        ActiveRequest(&self.active)
+    /// The token is `'static`, so a transport can take it before handing
+    /// the request to another thread.
+    pub fn track_active(&self) -> ActiveRequest {
+        self.lifecycle.track_active()
     }
 
     /// One JSON line of the current counters, for the final stats flush a
@@ -915,17 +845,10 @@ impl Server {
         format: Format,
         rid: &str,
     ) -> (Response, &'static str) {
+        // One atomic load keeps a draining daemon off the cache-hit path;
+        // `admit` below checks again for requests that race the drain.
         if self.draining() {
-            self.m.drain_refused.inc();
-            return (
-                typed_error(
-                    id,
-                    error_kind::DRAINING,
-                    "daemon is draining; not accepting new work",
-                    None,
-                ),
-                "run_refused",
-            );
+            return (self.refusal(id, Refusal::Draining), "run_refused");
         }
         let deadline = self.opts.deadline.map(|d| Instant::now() + d);
         let key = ResultCache::key(spec);
@@ -943,74 +866,64 @@ impl Server {
             );
         }
 
-        let (slot, leader) = {
-            let mut inflight = lock_recover(&self.inflight);
-            match inflight.get(&key) {
-                Some(slot) => (Arc::clone(slot), false),
-                None => {
-                    if let Some(max) = self.opts.max_inflight {
-                        if inflight.len() >= max {
-                            drop(inflight);
-                            self.m.overloaded.inc();
-                            return (
-                                typed_error(
-                                    id,
-                                    error_kind::OVERLOADED,
-                                    &format!(
-                                        "{max} computation(s) already in flight (--max-inflight)"
-                                    ),
-                                    Some(self.retry_after_ms()),
-                                ),
-                                "run_refused",
-                            );
-                        }
-                    }
-                    let slot = Arc::new(Slot::new());
-                    inflight.insert(key.clone(), Arc::clone(&slot));
-                    (slot, true)
-                }
-            }
-        };
         // Admitted (as leader or follower): this request will be served,
         // so it joins the hit-rate denominator.
-        self.m.runs.inc();
-
-        if !leader {
-            self.m.deduped.inc();
-            let resp = match slot.wait_deadline(deadline) {
-                None => {
+        let (outcome, deduped, label) = match self.lifecycle.admit(&key) {
+            Admission::Refused(why) => return (self.refusal(id, why), "run_refused"),
+            Admission::Follow(slot) => {
+                self.m.runs.inc();
+                self.m.deduped.inc();
+                let Some(outcome) = slot.wait_deadline(deadline) else {
                     self.m.deadline_exceeded.inc();
-                    typed_error(
+                    let resp = typed_error(
                         id,
                         error_kind::DEADLINE_EXCEEDED,
                         "deadline expired while waiting for the in-flight computation",
                         None,
-                    )
-                }
-                Some(RunOutcome::Ok { artifact, complete }) => {
-                    run_response(id, spec, &key, format, &artifact, false, true, complete)
-                }
-                Some(RunOutcome::Failed { kind, message }) => {
-                    typed_error(id, kind, &message, None)
-                }
-            };
-            return (resp, "run_dedup");
-        }
-
-        let outcome = self.compute_as_leader(spec, deadline, rid);
-        // Publish before unregistering: a request landing in between joins
-        // as a follower and reads the published outcome immediately, while
-        // one landing after becomes a fresh leader (so a request arriving
-        // right after a panic recomputes cleanly).
-        slot.publish(outcome.clone());
-        lock_recover(&self.inflight).remove(&key);
+                    );
+                    return (resp, "run_dedup");
+                };
+                (outcome, true, "run_dedup")
+            }
+            Admission::Lead(lead) => {
+                self.m.runs.inc();
+                let outcome = self.compute_as_leader(spec, deadline, rid);
+                lead.finish(&outcome);
+                (outcome, false, "run_compute")
+            }
+        };
         let resp = match outcome {
             RunOutcome::Ok { artifact, complete } => {
-                run_response(id, spec, &key, format, &artifact, false, false, complete)
+                run_response(id, spec, &key, format, &artifact, false, deduped, complete)
             }
             RunOutcome::Failed { kind, message } => typed_error(id, kind, &message, None),
         };
-        (resp, "run_compute")
+        (resp, label)
+    }
+
+    /// The typed answer to a request [`Inflight::admit`] refused, counted
+    /// in its own stat and never in `runs`.
+    fn refusal(&self, id: Value, why: Refusal) -> Response {
+        match why {
+            Refusal::Draining => {
+                self.m.drain_refused.inc();
+                typed_error(
+                    id,
+                    error_kind::DRAINING,
+                    "daemon is draining; not accepting new work",
+                    None,
+                )
+            }
+            Refusal::Overloaded { max } => {
+                self.m.overloaded.inc();
+                typed_error(
+                    id,
+                    error_kind::OVERLOADED,
+                    &format!("{max} computation(s) already in flight (--max-inflight)"),
+                    Some(self.retry_after_ms()),
+                )
+            }
+        }
     }
 
     /// Answer a `batch` request: fan the items over a bounded scoped pool
@@ -1179,10 +1092,10 @@ impl Server {
 
     /// Spawn `n` detached warmer threads draining the warm queue for the
     /// life of the process. Warmers are strictly lower priority than
-    /// interactive work: a popped item waits until no request is being
-    /// handled and nothing is in flight before computing, dedups against
-    /// the in-flight table and both cache tiers, and the whole backlog is
-    /// discarded when a drain starts.
+    /// interactive work: each waits until no request is being handled and
+    /// nothing is in flight ([`Server::wait_idle`]) before it pops an item,
+    /// dedups against the in-flight computations and both cache tiers, and
+    /// the whole backlog is discarded when a drain starts.
     pub fn start_warmers(self: &Arc<Self>, n: usize) {
         for _ in 0..n {
             let server = Arc::clone(self);
@@ -1190,89 +1103,65 @@ impl Server {
         }
     }
 
-    /// One warmer thread: pop, wait for idleness, warm, repeat — until the
-    /// daemon drains.
+    /// One warmer thread: wait for work, wait for idleness, pop, warm,
+    /// repeat — until the daemon drains.
     fn warm_loop(&self) {
         loop {
-            let spec = {
-                let mut queue = lock_recover(&self.warm_queue);
-                loop {
-                    if self.draining() {
-                        return;
-                    }
-                    if let Some(spec) = queue.pop_front() {
-                        break spec;
-                    }
-                    // The timeout is a liveness backstop (a drain that
-                    // raced the notify); warm arrivals wake us directly.
-                    let (q, _) = self
-                        .warm_ready
-                        .wait_timeout(queue, Duration::from_millis(100))
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    queue = q;
-                }
-            };
-            // Low priority: only compute when interactive work has left
-            // the daemon idle. Polling is cheap next to a computation and
-            // keeps warmers completely out of every request path.
-            while !self.draining()
-                && (self.active_requests() > 0 || self.inflight_len() > 0)
-            {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            let queue = self
+                .warm_ready
+                .wait_while(lock_recover(&self.warm_queue), |q| {
+                    q.is_empty() && !self.draining()
+                })
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             if self.draining() {
-                // Popped but never computed: account it with the backlog
-                // the drain discarded.
-                self.m.warm_dropped.inc();
-                continue;
+                return;
             }
-            self.warm_one(&spec);
+            drop(queue);
+            self.wait_idle(None);
+            // Another warmer may have taken the item, or a drain discarded
+            // (and counted) the backlog while this one waited.
+            let spec = lock_recover(&self.warm_queue).pop_front();
+            if let Some(spec) = spec {
+                self.warm_one(&spec);
+            }
         }
     }
 
     /// Warm one spec: skip when either cache tier already holds it
     /// (`warm_hit` — the probe itself promotes a disk entry into the
     /// memory tier) or an identical computation is in flight
-    /// (`warm_dedup`); otherwise register a slot and compute exactly like
-    /// a leader, so interactive requests arriving mid-warm dedup into the
-    /// warmer's computation. Failures are contained by the leader path and
-    /// only ever visible in the stats — warming answers nobody.
+    /// (`warm_dedup`); otherwise lead the computation exactly like a `run`,
+    /// so interactive requests arriving mid-warm dedup into the warmer's
+    /// computation. An item the lifecycle refuses (a drain started, or
+    /// `--max-inflight` is reached) is dropped and counted as
+    /// `warm_dropped`. Failures are contained by the leader path and only
+    /// ever visible in the stats — warming answers nobody.
     fn warm_one(&self, spec: &ExperimentSpec) {
         let started = Instant::now();
-        let key = ResultCache::key(spec);
         // Background computations answer no request line, so they get
         // their own generated request identifiers for the trace.
         let rid = self.next_request_id();
-        if self.cache.load_tiered(spec).is_some() {
-            self.record_latency("warm_hit", started.elapsed());
-            self.trace.span("warm_hit", &rid, started.elapsed(), &[]);
-            return;
-        }
-        let slot = {
-            let mut inflight = lock_recover(&self.inflight);
-            if inflight.contains_key(&key) {
-                None
-            } else {
-                let slot = Arc::new(Slot::new());
-                inflight.insert(key.clone(), Arc::clone(&slot));
-                Some(slot)
+        let label = if self.cache.load_tiered(spec).is_some() {
+            "warm_hit"
+        } else {
+            match self.lifecycle.admit(&ResultCache::key(spec)) {
+                Admission::Refused(_) => {
+                    self.m.warm_dropped.inc();
+                    return;
+                }
+                Admission::Follow(_) => "warm_dedup",
+                Admission::Lead(lead) => {
+                    let outcome = self.compute_as_leader(spec, None, &rid);
+                    lead.finish(&outcome);
+                    if matches!(outcome, RunOutcome::Ok { .. }) {
+                        self.m.warm_computed.inc();
+                    }
+                    "warm_compute"
+                }
             }
         };
-        let Some(slot) = slot else {
-            self.record_latency("warm_dedup", started.elapsed());
-            self.trace.span("warm_dedup", &rid, started.elapsed(), &[]);
-            return;
-        };
-        let outcome = self.compute_as_leader(spec, None, &rid);
-        // Same publish-before-unregister ordering as `run`: followers that
-        // joined mid-warm read the published outcome.
-        slot.publish(outcome.clone());
-        lock_recover(&self.inflight).remove(&key);
-        if matches!(outcome, RunOutcome::Ok { .. }) {
-            self.m.warm_computed.inc();
-        }
-        self.record_latency("warm_compute", started.elapsed());
-        self.trace.span("warm_compute", &rid, started.elapsed(), &[]);
+        self.record_latency(label, started.elapsed());
+        self.trace.span(label, &rid, started.elapsed(), &[]);
     }
 
     /// Run one leader computation under `catch_unwind`, so a panicking
@@ -2467,6 +2356,98 @@ mod tests {
         }
         assert_eq!(warm_computed(&server), 1, "a cached spec must not recompute");
         server.begin_drain(); // stop the warmer thread
+    }
+
+    /// Seeded random interleavings of runs, batches and warms over a few
+    /// keys, under chaos panics, a deadline every computation outlives,
+    /// `max_inflight` and a drain that may start midway: every call
+    /// returns, the served-run counters add up, expired computations leave
+    /// nothing cached, and the daemon ends idle with nothing in flight.
+    #[test]
+    fn random_request_interleavings_keep_the_lifecycle_consistent() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+        // Three request threads, one warmer and up to three one-worker
+        // batch pools: at most 8 threads with the test's own.
+        const CLIENTS: u64 = 3;
+        for seed in 0..6u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let deadline = rng.gen_bool(0.5);
+            let dir = tmpdir(&format!("interleave-{seed}"));
+            let server = Arc::new(
+                Server::new(
+                    &dir,
+                    ServerOptions {
+                        chaos_compute_ms: 20,
+                        chaos_panic: rng.gen_bool(0.5).then_some(3),
+                        deadline: deadline.then_some(Duration::from_millis(10)),
+                        max_inflight: rng.gen_bool(0.5).then_some(2),
+                        batch_workers: 1,
+                        ..ServerOptions::default()
+                    },
+                )
+                .unwrap(),
+            );
+            server.start_warmers(1);
+            let warmed = Arc::new(Mutex::new(HashSet::new()));
+            let (tx, rx) = std::sync::mpsc::channel();
+            for t in 0..CLIENTS {
+                let (server, warmed, tx) = (Arc::clone(&server), Arc::clone(&warmed), tx.clone());
+                std::thread::spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(seed * 10 + t);
+                    for _ in 0..6 {
+                        let s = 100 + rng.gen_range(0..4u64);
+                        let line = match rng.gen_range(0..8) {
+                            0 => batch_line(&[s, 100 + rng.gen_range(0..4u64)]),
+                            1 => {
+                                let spec = ExperimentSpec::for_artifact(ArtifactKind::Table1, 9, 1, s);
+                                lock_recover(&warmed).insert(ResultCache::key(&spec));
+                                warm_line(&[s])
+                            }
+                            2 if rng.gen_bool(0.3) => {
+                                server.begin_drain();
+                                continue;
+                            }
+                            _ => run_line_seeded(9, s),
+                        };
+                        server.handle_line(&line);
+                    }
+                    tx.send(()).unwrap();
+                });
+            }
+            for _ in 0..CLIENTS {
+                rx.recv_timeout(Duration::from_secs(20))
+                    .unwrap_or_else(|_| panic!("a request never returned (seed {seed})"));
+            }
+            server.begin_drain();
+            assert!(server.wait_idle(Some(Instant::now() + Duration::from_secs(10))));
+            assert_eq!(server.inflight_len(), 0, "seed {seed}");
+
+            let stats = server.stats_response();
+            let run_computes = stats
+                .latency_us
+                .iter()
+                .find(|e| e.op == "run_compute")
+                .map_or(0, |e| e.count);
+            assert_eq!(
+                stats.runs,
+                stats.hits + stats.deduped + run_computes,
+                "seed {seed}: refusals stay out of `runs`, every admitted run is counted once"
+            );
+            if deadline {
+                // Every run outlives its deadline; only warmers, which
+                // have none, may have stored an entry.
+                let warmed = lock_recover(&warmed);
+                for entry in std::fs::read_dir(&dir).unwrap() {
+                    let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+                    assert!(
+                        name.starts_with('.') || warmed.contains(&name),
+                        "seed {seed}: `{name}` was cached after its deadline expired"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

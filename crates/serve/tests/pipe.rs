@@ -179,3 +179,114 @@ fn socket_mode_serves_the_client_binary() {
     std::fs::remove_dir_all(&cache).ok();
     std::fs::remove_file(&socket).ok();
 }
+
+/// Wait up to `limit` for `child` to exit; a daemon still running then is
+/// killed and reported as `None`.
+fn exit_within(child: &mut Child, limit: std::time::Duration) -> Option<std::process::ExitStatus> {
+    let start = std::time::Instant::now();
+    while start.elapsed() < limit {
+        if let Some(status) = child.try_wait().unwrap() {
+            return Some(status);
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    None
+}
+
+#[test]
+fn pipe_mode_drains_on_sigterm_and_shutdown_while_stdin_stays_open() {
+    for trigger in ["sigterm", "shutdown"] {
+        let cache = tmp(&format!("drain-{trigger}"));
+        let stderr_path = tmp(&format!("drain-{trigger}.err"));
+        let _ = std::fs::remove_dir_all(&cache);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sfc-serve"))
+            .args(["--pipe", "--cache", cache.to_str().unwrap()])
+            .args(["--chaos-compute-ms", "400"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::from(std::fs::File::create(&stderr_path).unwrap()))
+            .spawn()
+            .expect("daemon starts");
+        // `stdin` stays open until the end of the test: only the signal or
+        // the `shutdown` op may stop the daemon.
+        let mut stdin = child.stdin.take().unwrap();
+        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+        writeln!(stdin, r#"{{"id": 0, "op": "stats"}}"#).unwrap();
+        lines.next().expect("the daemon answers").unwrap();
+
+        // A request in flight when the drain starts is still answered.
+        writeln!(stdin, "{}", run_request(1)).unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        if trigger == "sigterm" {
+            let killed = Command::new("kill")
+                .args(["-TERM", &child.id().to_string()])
+                .status()
+                .unwrap();
+            assert!(killed.success());
+        } else {
+            writeln!(stdin, r#"{{"id": 2, "op": "shutdown"}}"#).unwrap();
+        }
+        let expected = if trigger == "sigterm" { 1 } else { 2 };
+        let mut replies: Vec<Value> = lines
+            .by_ref()
+            .take(expected)
+            .map(|l| serde_json::from_str(&l.unwrap()).expect("valid response JSON"))
+            .collect();
+        replies.sort_by_key(|r| r["id"].as_u64());
+        let run = &replies[0];
+        assert_eq!(run["id"], 1, "{trigger}: {replies:?}");
+        assert_eq!(run["ok"], true, "{trigger}: {run}");
+        assert_eq!(run["complete"], true, "{trigger}: {run}");
+
+        let status = exit_within(&mut child, std::time::Duration::from_secs(5));
+        assert!(
+            status.is_some_and(|s| s.success()),
+            "{trigger} must drain to exit 0 with stdin still open, got {status:?}"
+        );
+        let stderr = std::fs::read_to_string(&stderr_path).unwrap();
+        assert!(stderr.contains("final stats"), "{trigger}: {stderr}");
+        drop(stdin);
+        std::fs::remove_dir_all(&cache).ok();
+        std::fs::remove_file(&stderr_path).ok();
+    }
+}
+
+/// Every request line runs on its own thread; a finished thread must give
+/// its stack back instead of keeping it mapped until stdin closes.
+#[cfg(target_os = "linux")]
+#[test]
+fn pipe_mode_releases_finished_request_threads() {
+    let cache = tmp("maps");
+    let _ = std::fs::remove_dir_all(&cache);
+    let mut child = spawn_pipe_daemon(cache.to_str().unwrap(), &[]);
+    let mut stdin = child.stdin.take().unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let maps_path = format!("/proc/{}/maps", child.id());
+    let mappings = || std::fs::read_to_string(&maps_path).unwrap().lines().count();
+    let mut stats = || {
+        writeln!(stdin, r#"{{"op": "stats"}}"#).unwrap();
+        lines.next().expect("a response line").unwrap();
+    };
+    stats();
+    let before = mappings();
+    // One line at a time, so at most a couple of request threads are ever
+    // alive together: kept thread handles show up as two mappings per line.
+    for _ in 0..100 {
+        stats();
+    }
+    let start = std::time::Instant::now();
+    let mut after = mappings();
+    while after > before + 40 && start.elapsed() < std::time::Duration::from_secs(3) {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        after = mappings();
+    }
+    assert!(
+        after <= before + 40,
+        "100 answered lines grew the daemon from {before} to {after} mappings"
+    );
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+    std::fs::remove_dir_all(&cache).ok();
+}
