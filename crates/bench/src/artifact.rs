@@ -26,9 +26,6 @@ use sfc_core::{ArtifactKind, ExperimentSpec};
 /// fallback.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ComputeOpts {
-    /// Skip the precomputed hop-distance oracle and use closed-form
-    /// distances.
-    pub no_oracle: bool,
     /// Skip the dense occupancy grid and probe the sparse cell index per
     /// neighborhood cell.
     pub no_dense_grid: bool,
@@ -243,24 +240,15 @@ mod tests {
 
     #[test]
     fn ablations_are_byte_identical_at_every_job_count() {
-        // The hop-distance oracle and the dense occupancy index are pure
-        // fast paths: every artifact that consumes machines and
-        // assignments renders identical bytes without either, on any
-        // number of cell workers.
+        // The dense occupancy index is a pure fast path: every artifact
+        // that consumes assignments renders identical bytes without it, on
+        // any number of cell workers.
         let ablations = [
             ("default", ComputeOpts::default()),
-            (
-                "no_oracle",
-                ComputeOpts {
-                    no_oracle: true,
-                    ..ComputeOpts::default()
-                },
-            ),
             (
                 "no_dense_grid",
                 ComputeOpts {
                     no_dense_grid: true,
-                    ..ComputeOpts::default()
                 },
             ),
         ];

@@ -4,7 +4,9 @@
 //! Tables I/II, Figures 6/7, the Section VI-C studies and the extensions'
 //! congestion and closed-curve studies all measure a cell the same way:
 //! order one trial's particles by a curve, partition them over the ranks,
-//! and measure the near and far field against one or more machines. A
+//! and measure the near and far field against one or more machines. A cell
+//! is one assignment × its machine set: each kernel scans the assignment
+//! once and evaluates every machine on the traffic it counted. A
 //! driver describes what is fixed across its cells in a [`Pipeline`], gives
 //! each cell its trial, curve and rank count through
 //! [`Pipeline::measure_cell`], and folds the values back into its result
@@ -13,9 +15,9 @@
 //! runner fails on the first attempt.
 
 use crate::artifact::ComputeOpts;
-use sfc_core::ffi::{ffi_acd_with_tree, OwnerTree};
-use sfc_core::load::nfi_link_load;
-use sfc_core::nfi::nfi_acd;
+use sfc_core::ffi::{ffi_acd_on, OwnerTree};
+use sfc_core::load::{nfi_link_load, LinkLoad};
+use sfc_core::nfi::nfi_acd_on;
 use sfc_core::runner::CellResult;
 use sfc_core::{timing, Assignment, Machine, SfcError, Stats};
 use sfc_curves::point::Norm;
@@ -46,34 +48,17 @@ impl TrialCache {
     }
 }
 
-/// Build a machine, honoring [`ComputeOpts::no_oracle`]: the default
-/// machine precomputes the dense hop-distance oracle, the ablation falls
-/// back to closed-form distances. Both produce identical values.
-pub(crate) fn machine(
-    opts: &ComputeOpts,
-    topo: TopologyKind,
-    num_procs: u64,
-    curve: CurveKind,
-) -> Machine {
-    let m = Machine::new(topo, num_procs, curve);
-    if opts.no_oracle {
-        m.without_oracle()
-    } else {
-        m
-    }
-}
-
 /// Where a cell's machines come from. The source also fixes the order of
 /// a cell's values.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Machines<'a> {
     /// Built once per sweep and shared by every cell (Tables I/II). The
-    /// cell measures them kernel by kernel: every machine's NFI values,
+    /// cell's values go kernel by kernel: every machine's NFI values,
     /// then every machine's FFI values.
     Shared(&'a [Machine]),
-    /// Built inside the cell, one per topology from the cell's curve and
-    /// rank count, and dropped before the next, so a cell holds at most
-    /// one. The cell's values are each machine's values in turn.
+    /// Built inside the cell, one closed-form machine per topology from the
+    /// cell's curve and rank count. The cell's values are each machine's
+    /// values in turn.
     Build(&'a [TopologyKind]),
 }
 
@@ -124,49 +109,67 @@ impl Pipeline<'_> {
         });
         let tree = (self.measure == Measure::NfiFfi)
             .then(|| timing::phase("index", || OwnerTree::build(&asg)));
-        let near = |m: &Machine| -> Result<Vec<f64>, SfcError> {
-            timing::phase("nfi", || match self.measure {
-                Measure::LinkLoad => {
-                    let load = nfi_link_load(&asg, m, self.radius, self.norm);
-                    let acd = match load.messages {
-                        0 => 0.0,
-                        n => load.crossings as f64 / n as f64,
-                    };
-                    Ok(vec![
-                        acd,
-                        load.max_load() as f64,
-                        load.mean_load(),
-                        load.mean_active_load(),
-                        load.imbalance(),
-                    ])
-                }
-                _ => Ok(vec![nfi_acd(&asg, m, self.radius, self.norm)?.acd()]),
-            })
+        let built: Vec<Machine>;
+        let machines: Vec<&Machine> = match self.machines {
+            Machines::Shared(machines) => machines.iter().collect(),
+            Machines::Build(topologies) => {
+                built = timing::phase("machine", || {
+                    let build = |&topo| Machine::closed_form(topo, ranks, curve);
+                    topologies.iter().map(build).collect()
+                });
+                built.iter().collect()
+            }
         };
-        let far = |m: &Machine| -> Result<Option<f64>, SfcError> {
-            let Some(tree) = &tree else { return Ok(None) };
-            timing::phase("ffi", || Ok(Some(ffi_acd_with_tree(&asg, m, tree)?.acd())))
+        // One value list per machine.
+        let near: Vec<Vec<f64>> = timing::phase("nfi", || -> Result<_, SfcError> {
+            Ok(match self.measure {
+                Measure::LinkLoad => machines
+                    .iter()
+                    .map(|m| link_load_values(nfi_link_load(&asg, m, self.radius, self.norm)))
+                    .collect(),
+                _ => nfi_acd_on(&asg, &machines, self.radius, self.norm)?
+                    .iter()
+                    .map(|r| vec![r.acd()])
+                    .collect(),
+            })
+        })?;
+        let far: Vec<f64> = match &tree {
+            Some(tree) => timing::phase("ffi", || ffi_acd_on(&asg, &machines, tree))?
+                .iter()
+                .map(|r| r.acd())
+                .collect(),
+            None => Vec::new(),
         };
         let mut values = Vec::new();
         match self.machines {
-            Machines::Shared(machines) => {
-                for m in machines {
-                    values.extend(near(m)?);
-                }
-                for m in machines {
-                    values.extend(far(m)?);
-                }
+            Machines::Shared(_) => {
+                values.extend(near.into_iter().flatten());
+                values.extend(far);
             }
-            Machines::Build(topologies) => {
-                for &topo in topologies {
-                    let m = timing::phase("machine", || machine(self.opts, topo, ranks, curve));
-                    values.extend(near(&m)?);
-                    values.extend(far(&m)?);
+            Machines::Build(_) => {
+                for (i, near) in near.into_iter().enumerate() {
+                    values.extend(near);
+                    values.extend(far.get(i));
                 }
             }
         }
         Ok(values)
     }
+}
+
+/// The values [`Measure::LinkLoad`] reports, in column order.
+fn link_load_values(load: LinkLoad) -> Vec<f64> {
+    let acd = match load.messages {
+        0 => 0.0,
+        n => load.crossings as f64 / n as f64,
+    };
+    vec![
+        acd,
+        load.max_load() as f64,
+        load.mean_load(),
+        load.mean_active_load(),
+        load.imbalance(),
+    ]
 }
 
 /// `Stats` per `[row][column]` slot of one measured kernel; `None` where

@@ -247,6 +247,9 @@ pub fn timing_json(artifact: &str, args: &SweepArgs, summary: &SweepSummary) -> 
             "seed": args.seed,
         }),
         "jobs": args.jobs,
+        // The size the shared kernel pool was configured to: `--jobs`, or
+        // `available_parallelism` without it. The vendored rayon runs every
+        // kernel on its calling cell worker, so no extra threads exist.
         "rayon_threads": rayon::current_num_threads() as u64,
         "grid_index": json!({
             "dense_builds": dense_builds,

@@ -43,7 +43,7 @@ pub fn run_tables(
     opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> Vec<CurvePairGrid> {
-    let machines = machines(spec, opts);
+    let machines = machines(spec);
     spec.distributions
         .iter()
         .map(|&dist| run_grid(dist, spec, opts, &machines, runner))
@@ -61,14 +61,14 @@ pub fn run_distribution(
     opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> CurvePairGrid {
-    run_grid(dist, spec, opts, &machines(spec, opts), runner)
+    run_grid(dist, spec, opts, &machines(spec), runner)
 }
 
 /// The spec's processor-order machines, one per curve.
-fn machines(spec: &ExperimentSpec, opts: &ComputeOpts) -> Vec<Machine> {
+fn machines(spec: &ExperimentSpec) -> Vec<Machine> {
     spec.effective_processor_curves()
         .iter()
-        .map(|&curve| crate::cell::machine(opts, spec.topologies[0], spec.processors[0], curve))
+        .map(|&curve| Machine::closed_form(spec.topologies[0], spec.processors[0], curve))
         .collect()
 }
 

@@ -124,8 +124,7 @@ impl Assignment {
     }
 
     /// Drop the dense occupancy index, forcing every cell query onto the
-    /// `CellMap` probe path (ablation/verification parity with
-    /// [`Machine::without_oracle`](crate::Machine::without_oracle)).
+    /// `CellMap` probe path (for ablation and verification).
     pub fn without_dense_grid(mut self) -> Self {
         self.grid = None;
         self

@@ -29,11 +29,19 @@
 //! (over [`MAX_GRID_CELLS`](sfc_particles::MAX_GRID_CELLS), or ablated)
 //! keeps every level sparse, so memory stays `O(n·k)`, and the scans take
 //! the primitive's probe branch instead.
+//!
+//! Like the near field, one scan serves a whole machine set: each sender's
+//! interpolation and interaction-list messages are counted per receiver in
+//! two separate counters, so every [`FfiResult`] field stays exact, and each
+//! distinct pair is evaluated once per machine (see the `scan` module). A
+//! sender's cells are visited in one run: the finest level is already in
+//! rank order, and each coarse level is bucketed by owner with a counting
+//! sort into per-thread scratch.
 
 use crate::assignment::Assignment;
 use crate::error::SfcError;
 use crate::machine::Machine;
-use crate::scan::{scan_row, RankRows, Sender, Tally};
+use crate::scan::{scan_row, with_scratch, PairSink, RankRows, Totals};
 use sfc_particles::cellmap::{pack_cell, unpack_cell, CellMap};
 use sfc_particles::GridIndex;
 use sfc_quadtree::Cell;
@@ -140,6 +148,45 @@ impl Level<'_> {
                     f(x, y, rank);
                 }
             }
+        }
+    }
+
+    /// Call `f(x, y, owner)` for every occupied cell, each owner's cells in
+    /// one run. Owners are below `ranks`. The finest level is in particle
+    /// order, which is rank order; a coarse level is bucketed by owner with
+    /// a counting sort through `order` and `starts`.
+    fn for_each_by_owner(
+        self,
+        ranks: usize,
+        order: &mut Vec<u64>,
+        starts: &mut Vec<usize>,
+        mut f: impl FnMut(u32, u32, u32),
+    ) {
+        if let Level::Finest(_) = self {
+            return self.for_each_occupied(f);
+        }
+        // `starts[r]` becomes the first slot of owner `r`'s bucket, then,
+        // after the scatter, the first slot past it.
+        starts.clear();
+        starts.resize(ranks + 1, 0);
+        self.for_each_occupied(|_, _, rank| starts[rank as usize + 1] += 1);
+        for r in 1..=ranks {
+            starts[r] += starts[r - 1];
+        }
+        order.clear();
+        order.resize(starts[ranks], 0);
+        self.for_each_occupied(|x, y, rank| {
+            let slot = &mut starts[rank as usize];
+            order[*slot] = pack_cell(x, y);
+            *slot += 1;
+        });
+        let mut begin = 0;
+        for (rank, &end) in starts[..ranks].iter().enumerate() {
+            for &key in &order[begin..end] {
+                let (x, y) = unpack_cell(key);
+                f(x, y, rank as u32);
+            }
+            begin = end;
         }
     }
 }
@@ -276,8 +323,7 @@ pub fn ffi_acd(asg: &Assignment, machine: &Machine) -> Result<FfiResult, SfcErro
     ffi_acd_with_tree(asg, machine, &tree)
 }
 
-/// Compute the far-field ACD with a prebuilt [`OwnerTree`] of `asg` (for
-/// callers that evaluate several machines against one assignment).
+/// Compute the far-field ACD with a prebuilt [`OwnerTree`] of `asg`.
 ///
 /// A machine with fewer ranks than the assignment addresses is a typed
 /// [`SfcError`] instead of an abort.
@@ -286,44 +332,111 @@ pub fn ffi_acd_with_tree(
     machine: &Machine,
     tree: &OwnerTree,
 ) -> Result<FfiResult, SfcError> {
-    machine.check_assignment(asg)?;
-    let k = asg.grid_order();
+    let (mut interp, mut ilist) = ([0], [0]);
+    let counts = ffi_totals(asg, &[machine], tree, &mut interp, &mut ilist)?;
+    Ok(with_distances(counts, interp[0], ilist[0]))
+}
+
+/// [`ffi_acd_with_tree`] on every machine of `machines`, from one scan of
+/// `asg`: the `i`-th result is the one `ffi_acd_with_tree` returns on
+/// `machines[i]`.
+pub fn ffi_acd_on(
+    asg: &Assignment,
+    machines: &[&Machine],
+    tree: &OwnerTree,
+) -> Result<Vec<FfiResult>, SfcError> {
+    let mut interp = vec![0; machines.len()];
+    let mut ilist = vec![0; machines.len()];
+    let counts = ffi_totals(asg, machines, tree, &mut interp, &mut ilist)?;
+    Ok(interp
+        .iter()
+        .zip(&ilist)
+        .map(|(&up, &across)| with_distances(counts, up, across))
+        .collect())
+}
+
+/// `counts` with one machine's interpolation and interaction-list
+/// distances filled in.
+fn with_distances(counts: FfiResult, interp: u64, ilist: u64) -> FfiResult {
+    FfiResult {
+        interp_distance: interp,
+        // Downward accumulation retraces the same edges.
+        anterp_distance: interp,
+        ilist_distance: ilist,
+        ..counts
+    }
+}
+
+/// Scan `asg` once, summing each machine's interpolation and
+/// interaction-list hop distances into `interp` and `ilist`. Returns the
+/// message counts, which no machine changes, with zero distances.
+fn ffi_totals(
+    asg: &Assignment,
+    machines: &[&Machine],
+    tree: &OwnerTree,
+    interp: &mut [u64],
+    ilist: &mut [u64],
+) -> Result<FfiResult, SfcError> {
+    for machine in machines {
+        machine.check_assignment(asg)?;
+    }
+    let mut interp = Totals::new(machines, interp);
+    let mut ilist = Totals::new(machines, ilist);
+    ffi_traffic(asg, tree, &mut interp, &mut ilist);
+    Ok(FfiResult {
+        interp_comms: interp.comms,
+        anterp_comms: interp.comms,
+        ilist_comms: ilist.comms,
+        ..FfiResult::default()
+    })
+}
+
+/// Deliver every interpolation message of `asg` to `interp` and every
+/// interaction-list message to `ilist`, counted per `(sender, receiver)`
+/// pair. Anterpolation is the transpose of interpolation.
+fn ffi_traffic(
+    asg: &Assignment,
+    tree: &OwnerTree,
+    interp: &mut impl PairSink,
+    ilist: &mut impl PairSink,
+) {
     // The finest level is read from `asg`, the coarser ones from `tree`.
     assert!(
         Arc::ptr_eq(&tree.finest, asg.cell_map()),
         "tree built from another assignment"
     );
-    let (mut interp, mut ilist) = (Tally::default(), Tally::default());
-    for level in 1..=k {
-        let (cells, parents) = (tree.level(asg, level), tree.level(asg, level - 1));
-        let side = 1u32 << level;
-        cells.for_each_occupied(|x, y, rank| {
-            let from = Sender::new(machine, rank);
-            // Interpolation: one parent-slot load.
-            let (px, py) = (x >> 1, y >> 1);
-            scan_row(&parents, py, px..px + 1, 0..0, &from, &mut interp);
-            // Interaction list: the children of the parent's 3×3
-            // neighborhood (a 6×6 block clipped at the grid edge) minus the
-            // cell's own 3×3. Empty at level 1, where the hole covers all.
-            let (bx, by) = (x & !1, y & !1);
-            let xs = bx.saturating_sub(2)..(bx + 4).min(side);
-            let own = x.saturating_sub(1)..x + 2;
-            for ny in by.saturating_sub(2)..(by + 4).min(side) {
-                let near = ny.abs_diff(y) <= 1;
-                let hole = if near { own.clone() } else { 0..0 };
-                scan_row(&cells, ny, xs.clone(), hole, &from, &mut ilist);
-            }
-        });
-    }
-    Ok(FfiResult {
-        interp_distance: interp.distance,
-        interp_comms: interp.comms,
-        // Downward accumulation retraces the same edges.
-        anterp_distance: interp.distance,
-        anterp_comms: interp.comms,
-        ilist_distance: ilist.distance,
-        ilist_comms: ilist.comms,
-    })
+    let ranks = asg.num_ranks();
+    with_scratch(|scratch| {
+        let [up, across] = &mut scratch.counts;
+        up.reset(ranks);
+        across.reset(ranks);
+        for level in 1..=asg.grid_order() {
+            let (cells, parents) = (tree.level(asg, level), tree.level(asg, level - 1));
+            let side = 1u32 << level;
+            let (order, starts) = (&mut scratch.order, &mut scratch.starts);
+            cells.for_each_by_owner(ranks as usize, order, starts, |x, y, rank| {
+                up.send_from(rank, interp);
+                across.send_from(rank, ilist);
+                // Interpolation: one parent-slot load.
+                let (px, py) = (x >> 1, y >> 1);
+                scan_row(&parents, py, px..px + 1, 0..0, up);
+                // Interaction list: the children of the parent's 3×3
+                // neighborhood (a 6×6 block clipped at the grid edge) minus
+                // the cell's own 3×3. Empty at level 1, where the hole
+                // covers all.
+                let (bx, by) = (x & !1, y & !1);
+                let xs = bx.saturating_sub(2)..(bx + 4).min(side);
+                let own = x.saturating_sub(1)..x + 2;
+                for ny in by.saturating_sub(2)..(by + 4).min(side) {
+                    let near = ny.abs_diff(y) <= 1;
+                    let hole = if near { own.clone() } else { 0..0 };
+                    scan_row(&cells, ny, xs.clone(), hole, across);
+                }
+            });
+        }
+        up.flush(interp);
+        across.flush(ilist);
+    });
 }
 
 #[cfg(test)]
@@ -467,15 +580,6 @@ mod tests {
             }) => {}
             other => panic!("expected MachineTooSmall, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn oracle_on_and_off_agree() {
-        let particles = pts(&[(0, 0), (3, 3), (5, 5), (7, 0), (2, 6), (6, 2)]);
-        let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 16);
-        let cached = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert);
-        let plain = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert).without_oracle();
-        assert_eq!(ffi_acd(&asg, &cached), ffi_acd(&asg, &plain));
     }
 
     #[test]

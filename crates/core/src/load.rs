@@ -22,6 +22,8 @@
 use crate::assignment::Assignment;
 use crate::error::SfcError;
 use crate::machine::Machine;
+use crate::nfi::nfi_traffic;
+use crate::scan::PairSink;
 use sfc_curves::point::Norm;
 use sfc_topology::TopologyKind;
 use std::collections::HashMap;
@@ -31,7 +33,7 @@ use std::collections::HashMap;
 pub type Link = (u64, u64);
 
 /// Per-link message counts for one communication phase.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkLoad {
     /// Messages crossing each directed link.
     pub links: HashMap<Link, u64>,
@@ -84,10 +86,11 @@ impl LinkLoad {
         }
     }
 
-    fn record_path(&mut self, path: &[u64]) {
+    /// Send `count` messages along `path`.
+    fn record_path(&mut self, path: &[u64], count: u64) {
         for hop in path.windows(2) {
-            *self.links.entry((hop[0], hop[1])).or_insert(0) += 1;
-            self.crossings += 1;
+            *self.links.entry((hop[0], hop[1])).or_insert(0) += count;
+            self.crossings += count;
         }
     }
 }
@@ -210,48 +213,41 @@ fn axis_step(cur: u64, target: u64, side: u64, torus: bool) -> u64 {
 }
 
 /// Route every near-field message of the assignment and accumulate link
-/// loads. Serial (link counting is a shared-map reduction; the study runs at
-/// moderate scale).
+/// loads. The near-field scan counts messages per `(sender, receiver)`
+/// pair, so each distinct pair is routed once and its count added to every
+/// link on the path.
 pub fn nfi_link_load(asg: &Assignment, machine: &Machine, radius: u32, norm: Norm) -> LinkLoad {
-    let kind = machine.topology().kind();
-    let nodes = machine.topology().num_nodes();
-    let side = 1i64 << asg.grid_order();
-    let r = radius as i64;
-    let mut load = LinkLoad {
-        total_links: machine.num_links(),
-        ..LinkLoad::default()
+    let mut router = Router {
+        machine,
+        load: LinkLoad {
+            total_links: machine.num_links(),
+            ..LinkLoad::default()
+        },
     };
-    for (i, p) in asg.particles().iter().enumerate() {
-        let rank = asg.rank_of_index(i);
-        for dy in -r..=r {
-            for dx in -r..=r {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let inside = match norm {
-                    Norm::Manhattan => dx.abs() + dy.abs() <= r,
-                    Norm::Chebyshev => dx.abs().max(dy.abs()) <= r,
-                };
-                if !inside {
-                    continue;
-                }
-                let nx = p.x as i64 + dx;
-                let ny = p.y as i64 + dy;
-                if nx < 0 || ny < 0 || nx >= side || ny >= side {
-                    continue;
-                }
-                if let Some(other) = asg.rank_of_cell(nx as u32, ny as u32) {
-                    load.messages += 1;
-                    if other != rank {
-                        let path = route(kind, nodes, machine.node_of(rank), machine.node_of(other))
-                            .expect("machine topologies are square by construction");
-                        load.record_path(&path);
-                    }
-                }
+    nfi_traffic(asg, radius, norm, &mut router);
+    router.load
+}
+
+/// A [`PairSink`] that routes each pair on one machine.
+struct Router<'a> {
+    machine: &'a Machine,
+    load: LinkLoad,
+}
+
+impl PairSink for Router<'_> {
+    fn take(&mut self, sender: u32, pairs: impl Iterator<Item = (u32, u64)> + Clone) {
+        let topo = self.machine.topology();
+        let from = self.machine.node_of(sender);
+        for (receiver, count) in pairs {
+            self.load.messages += count;
+            if receiver != sender {
+                let to = self.machine.node_of(receiver);
+                let path = route(topo.kind(), topo.num_nodes(), from, to)
+                    .expect("machine topologies are square by construction");
+                self.load.record_path(&path, count);
             }
         }
     }
-    load
 }
 
 #[cfg(test)]
@@ -299,6 +295,69 @@ mod tests {
     fn self_route_is_single_node() {
         for kind in TopologyKind::PAPER {
             assert_eq!(route(kind, 64, 7, 7).unwrap(), vec![7]);
+        }
+    }
+
+    /// Reference link loads: every neighbor offset tested against the
+    /// norm, every message routed on its own.
+    fn reference_link_load(
+        asg: &Assignment,
+        machine: &Machine,
+        radius: u32,
+        norm: Norm,
+    ) -> LinkLoad {
+        let kind = machine.topology().kind();
+        let nodes = machine.topology().num_nodes();
+        let side = 1i64 << asg.grid_order();
+        let r = radius as i64;
+        let mut load = LinkLoad {
+            total_links: machine.num_links(),
+            ..LinkLoad::default()
+        };
+        for (i, p) in asg.particles().iter().enumerate() {
+            let rank = asg.rank_of_index(i);
+            for dy in -r..=r {
+                for dx in -r..=r {
+                    let inside = match norm {
+                        Norm::Manhattan => dx.abs() + dy.abs() <= r,
+                        Norm::Chebyshev => dx.abs().max(dy.abs()) <= r,
+                    };
+                    let (nx, ny) = (p.x as i64 + dx, p.y as i64 + dy);
+                    let outside = nx < 0 || ny < 0 || nx >= side || ny >= side;
+                    if (dx, dy) == (0, 0) || !inside || outside {
+                        continue;
+                    }
+                    if let Some(other) = asg.rank_of_cell(nx as u32, ny as u32) {
+                        load.messages += 1;
+                        if other != rank {
+                            let (a, b) = (machine.node_of(rank), machine.node_of(other));
+                            load.record_path(&route(kind, nodes, a, b).unwrap(), 1);
+                        }
+                    }
+                }
+            }
+        }
+        load
+    }
+
+    /// Routing each distinct pair once with its count gives exactly the
+    /// loads of routing every message, on every topology under both norms.
+    #[test]
+    fn pair_routing_matches_per_message_routing() {
+        let particles = sample(Distribution::normal(0.15), 5, 300, 7);
+        for curve in [CurveKind::Hilbert, CurveKind::RowMajor] {
+            let asg = Assignment::new(&particles, 5, curve, 16);
+            for kind in TopologyKind::PAPER {
+                let machine = Machine::closed_form(kind, 16, curve);
+                for norm in [Norm::Chebyshev, Norm::Manhattan] {
+                    for radius in [1, 3] {
+                        let want = reference_link_load(&asg, &machine, radius, norm);
+                        assert!(want.messages > 0);
+                        let got = nfi_link_load(&asg, &machine, radius, norm);
+                        assert_eq!(got, want, "{kind} {curve:?} {norm:?} r={radius}");
+                    }
+                }
+            }
         }
     }
 
@@ -356,8 +415,8 @@ mod tests {
             total_links: 4,
             ..LinkLoad::default()
         };
-        load.record_path(&[0, 1, 2]);
-        load.record_path(&[0, 1]);
+        load.record_path(&[0, 1, 2], 1);
+        load.record_path(&[0, 1], 1);
         assert_eq!(load.crossings, 3);
         assert_eq!(load.max_load(), 2);
         // Two of four links are active: the all-links mean counts the idle
@@ -381,9 +440,7 @@ mod tests {
             total_links: 1000,
             ..LinkLoad::default()
         };
-        for _ in 0..50 {
-            load.record_path(&[0, 1, 2]); // the same 2 links, every message
-        }
+        load.record_path(&[0, 1, 2], 50); // the same 2 links, every message
         assert_eq!(load.max_load(), 50);
         // The buggy active-links mean still says "balanced"...
         assert!((load.mean_active_load() - 50.0).abs() < 1e-12);

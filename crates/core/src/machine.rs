@@ -2,12 +2,15 @@
 //! paper's algorithm.
 //!
 //! [`Machine`] resolves application ranks to physical nodes *once* at
-//! construction (the rank→node table is `p` entries), and for machines of
-//! up to [`MAX_ORACLE_ENTRIES`]`.isqrt()` ranks additionally precomputes the
-//! dense `P × P` hop matrix ([`DistanceOracle`]) so that the metric loops,
-//! which call [`Machine::distance`] tens of millions of times per trial,
-//! pay only a single `u16` table load per call. Above the threshold the
-//! closed-form path is used; the two paths return bit-identical distances.
+//! construction (the rank→node table is `p` entries) and answers
+//! [`Machine::distance`] from the topology's closed form. The kernels call
+//! it once per distinct `(sender, receiver)` pair of an assignment's
+//! traffic, not once per message (see the `scan` module), so
+//! [`Machine::closed_form`], which stores only the placement table, is all
+//! the sweeps build. [`Machine::new`] additionally precomputes the dense
+//! `P × P` hop matrix ([`DistanceOracle`]) for machines of up to
+//! [`MAX_ORACLE_ENTRIES`]`.isqrt()` ranks; the two return bit-identical
+//! distances.
 
 use crate::error::SfcError;
 use crate::oracle::{DistanceOracle, MAX_ORACLE_ENTRIES};
@@ -22,8 +25,8 @@ pub struct Machine {
     node_of_rank: Vec<u64>,
     /// Processor-order curve, if one applies.
     processor_curve: Option<CurveKind>,
-    /// Dense `P × P` hop table; `None` above the size threshold (or when
-    /// explicitly disabled for ablation).
+    /// Dense `P × P` hop table; `None` above the size threshold and on
+    /// closed-form machines.
     oracle: Option<DistanceOracle>,
 }
 
@@ -33,7 +36,30 @@ impl Machine {
     /// for the others the curve is ignored and the canonical numbering is
     /// used, matching the paper ("applies only to mesh and torus
     /// topologies").
+    ///
+    /// This also materializes the dense hop table when `P²` fits
+    /// [`MAX_ORACLE_ENTRIES`] (32 MiB at 4096 ranks). Use
+    /// [`Machine::closed_form`] where distances are looked up per distinct
+    /// rank pair, as the kernels do.
     pub fn new(kind: TopologyKind, num_ranks: u64, processor_curve: CurveKind) -> Self {
+        let mut machine = Machine::closed_form(kind, num_ranks, processor_curve);
+        let p = machine.num_ranks();
+        // Materialize the dense hop table when it fits the memory envelope.
+        // A diameter overflowing u16 (only reachable on topologies far past
+        // the threshold anyway) degrades to the closed-form path rather than
+        // failing construction: distances are identical either way.
+        machine.oracle = if p.checked_mul(p).is_some_and(|e| e <= MAX_ORACLE_ENTRIES) {
+            DistanceOracle::build(machine.topo.as_ref(), &machine.node_of_rank).ok()
+        } else {
+            None
+        };
+        machine
+    }
+
+    /// The machine [`Machine::new`] builds, without the hop table: only the
+    /// `P`-entry placement, with every [`Machine::distance`] taking the
+    /// topology's closed form.
+    pub fn closed_form(kind: TopologyKind, num_ranks: u64, processor_curve: CurveKind) -> Self {
         let topo = kind.build(num_ranks);
         let p = topo.num_nodes();
         let (node_of_rank, used_curve): (Vec<u64>, _) = match topo.grid_side() {
@@ -43,45 +69,19 @@ impl Machine {
             }
             None => ((0..p).collect(), None),
         };
-        // Materialize the dense hop table when it fits the memory envelope.
-        // A diameter overflowing u16 (only reachable on topologies far past
-        // the threshold anyway) degrades to the closed-form path rather than
-        // failing construction: distances are identical either way.
-        let oracle = if p.checked_mul(p).is_some_and(|e| e <= MAX_ORACLE_ENTRIES) {
-            DistanceOracle::build(topo.as_ref(), &node_of_rank).ok()
-        } else {
-            None
-        };
         Machine {
             topo,
             node_of_rank,
             processor_curve: used_curve,
-            oracle,
+            oracle: None,
         }
     }
 
-    /// This machine with the distance oracle dropped, forcing every
-    /// [`Machine::distance`] call through the closed-form topology path.
-    /// Ablation/benchmark knob; metric results are bit-identical with the
-    /// oracle on or off.
-    pub fn without_oracle(mut self) -> Self {
-        self.oracle = None;
-        self
-    }
-
-    /// Whether the dense hop table is in effect (machines over the
-    /// [`MAX_ORACLE_ENTRIES`] envelope, or explicitly ablated, run without
-    /// one).
+    /// Whether the dense hop table is in effect ([`Machine::closed_form`]
+    /// machines and machines over the [`MAX_ORACLE_ENTRIES`] envelope run
+    /// without one).
     pub fn has_oracle(&self) -> bool {
         self.oracle.is_some()
-    }
-
-    /// The hop-distance row of `rank` as `u16` entries, when the oracle is
-    /// present. Kernels hoist this borrow per particle so the inner scan is
-    /// one indexed load per pair.
-    #[inline]
-    pub fn distance_row(&self, rank: u32) -> Option<&[u16]> {
-        self.oracle.as_ref().map(|o| o.row(rank))
     }
 
     /// Check that every rank the assignment addresses exists on this
@@ -217,28 +217,25 @@ mod tests {
     }
 
     #[test]
-    fn small_machines_carry_an_oracle_and_it_can_be_ablated() {
-        let m = Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert);
-        assert!(m.has_oracle());
-        assert_eq!(m.distance_row(0).unwrap().len(), 64);
-        let m = m.without_oracle();
+    fn only_new_builds_an_oracle() {
+        assert!(Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert).has_oracle());
+        let m = Machine::closed_form(TopologyKind::Torus, 64, CurveKind::Hilbert);
         assert!(!m.has_oracle());
-        assert!(m.distance_row(0).is_none());
+        assert_eq!(m.processor_curve(), Some(CurveKind::Hilbert));
     }
 
     #[test]
     fn above_the_size_threshold_the_fallback_stays_bit_identical() {
         // 16,384² entries exceed MAX_ORACLE_ENTRIES, so construction skips
         // the table and every distance takes the closed-form path — the
-        // same path `without_oracle` exercises, which the property test
-        // above pins against the cached path pair by pair. Here we check
+        // path `closed_form` machines take, which the test below pins
+        // against the cached path pair by pair. Here we check
         // the threshold actually trips and the fallback still matches the
         // raw topology.
         let p = 16_384u64;
         assert!(p * p > crate::oracle::MAX_ORACLE_ENTRIES);
         let m = Machine::new(TopologyKind::Torus, p, CurveKind::Hilbert);
         assert!(!m.has_oracle());
-        assert!(m.distance_row(0).is_none());
         let topo = TopologyKind::Torus.build(p);
         for (a, b) in [(0u32, 1u32), (5, 16_000), (9_999, 123), (777, 777)] {
             assert_eq!(m.distance(a, b), topo.distance(m.node_of(a), m.node_of(b)));
@@ -258,7 +255,7 @@ mod tests {
             for curve in [CurveKind::Hilbert, CurveKind::ZCurve] {
                 for p in [4u64, 16, 64, 256] {
                     let cached = Machine::new(kind, p, curve);
-                    let plain = Machine::new(kind, p, curve).without_oracle();
+                    let plain = Machine::closed_form(kind, p, curve);
                     assert!(cached.has_oracle());
                     for a in 0..p as u32 {
                         for b in 0..p as u32 {
@@ -277,7 +274,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range for a machine with 16 ranks")]
     fn out_of_range_rank_panics_with_bounds_message() {
-        let m = Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert).without_oracle();
+        let m = Machine::closed_form(TopologyKind::Mesh, 16, CurveKind::Hilbert);
         let _ = m.distance(0, 99);
     }
 

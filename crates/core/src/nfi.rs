@@ -12,15 +12,18 @@
 //! `y → x` are two communications); since hop distance is symmetric, the
 //! ACD is identical to the undirected convention.
 //!
-//! The scan is parallelized over particles with rayon; each worker folds
-//! into local `(distance, count)` accumulators and the reduction is an
-//! integer sum, so results are independent of thread count.
+//! One scan serves a whole machine set. It walks the particles in curve
+//! order, so each rank's particles come in one run, and counts the rank's
+//! messages per receiver; each distinct `(sender, receiver)` pair is then
+//! evaluated once per machine (see the `scan` module). The scan runs on the
+//! calling thread; sweeps parallelize across cells. Every sum is an
+//! integer, so results are exact and independent of the order of
+//! evaluation.
 
 use crate::assignment::Assignment;
 use crate::error::SfcError;
 use crate::machine::Machine;
-use crate::scan::{scan_row, Sender, Tally};
-use rayon::prelude::*;
+use crate::scan::{scan_row, with_scratch, PairSink, Totals};
 use sfc_curves::point::Norm;
 
 /// Outcome of a near-field ACD computation.
@@ -77,22 +80,69 @@ pub fn nfi_acd(
     radius: u32,
     norm: Norm,
 ) -> Result<NfiResult, SfcError> {
+    let mut distance = [0];
+    let counts = nfi_totals(asg, &[machine], radius, norm, &mut distance)?;
+    Ok(NfiResult {
+        total_distance: distance[0],
+        ..counts
+    })
+}
+
+/// [`nfi_acd`] on every machine of `machines`, from one scan of `asg`: the
+/// `i`-th result is the one `nfi_acd` returns on `machines[i]`.
+pub fn nfi_acd_on(
+    asg: &Assignment,
+    machines: &[&Machine],
+    radius: u32,
+    norm: Norm,
+) -> Result<Vec<NfiResult>, SfcError> {
+    let mut distance = vec![0; machines.len()];
+    let counts = nfi_totals(asg, machines, radius, norm, &mut distance)?;
+    Ok(distance
+        .iter()
+        .map(|&total_distance| NfiResult {
+            total_distance,
+            ..counts
+        })
+        .collect())
+}
+
+/// Scan `asg` once, summing each machine's hop distance into `distance`.
+/// Returns the message counts, which no machine changes, with a zero
+/// distance.
+fn nfi_totals(
+    asg: &Assignment,
+    machines: &[&Machine],
+    radius: u32,
+    norm: Norm,
+    distance: &mut [u64],
+) -> Result<NfiResult, SfcError> {
     if radius < 1 {
         return Err(SfcError::ZeroRadius);
     }
-    machine.check_assignment(asg)?;
+    for machine in machines {
+        machine.check_assignment(asg)?;
+    }
+    let mut totals = Totals::new(machines, distance);
+    nfi_traffic(asg, radius, norm, &mut totals);
+    Ok(NfiResult {
+        total_distance: 0,
+        num_comms: totals.comms,
+        local_comms: totals.local,
+    })
+}
+
+/// Deliver every near-field message of `asg` to `sink`, counted per
+/// `(sender, receiver)` pair. Particles are scanned in curve order, so each
+/// rank is one run of senders.
+pub(crate) fn nfi_traffic(asg: &Assignment, radius: u32, norm: Norm, sink: &mut impl PairSink) {
     let side = 1i64 << asg.grid_order();
     let r = radius as i64;
-
-    let tally = asg
-        .particles()
-        .par_iter()
-        .enumerate()
-        .fold(Tally::default, |mut acc, (i, p)| {
-            // Hoist the per-particle invariants: the particle's rank and —
-            // when the machine carries the dense oracle — its whole
-            // distance row.
-            let from = Sender::new(machine, asg.rank_of_index(i));
+    with_scratch(|scratch| {
+        let acc = &mut scratch.counts[0];
+        acc.reset(asg.num_ranks());
+        for (i, p) in asg.particles().iter().enumerate() {
+            acc.send_from(asg.rank_of_index(i), sink);
             let x = p.x as i64;
             // The neighborhood is a stack of contiguous row segments: per
             // `dy`, `dx` spans `±r` (Chebyshev) or `±(r − |dy|)`
@@ -109,16 +159,11 @@ pub fn nfi_acd(
                 };
                 let xs = (x - w).max(0) as u32..(x + w + 1).min(side) as u32;
                 let hole = if dy == 0 { p.x..p.x + 1 } else { 0..0 };
-                scan_row(asg, ny as u32, xs, hole, &from, &mut acc);
+                scan_row(asg, ny as u32, xs, hole, acc);
             }
-            acc
-        })
-        .reduce(Tally::default, Tally::merge);
-    Ok(NfiResult {
-        total_distance: tally.distance,
-        num_comms: tally.comms,
-        local_comms: tally.local,
-    })
+        }
+        acc.flush(sink);
+    });
 }
 
 #[cfg(test)]
@@ -269,7 +314,7 @@ mod tests {
     }
 
     /// The dense row-segment scan and the CellMap probe fallback produce
-    /// bit-identical results, with and without the distance oracle.
+    /// bit-identical results, on oracle and closed-form machines.
     #[test]
     fn dense_grid_on_and_off_agree() {
         let mut coords = Vec::new();
@@ -289,7 +334,7 @@ mod tests {
             assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
             for topo in [TopologyKind::Mesh, TopologyKind::Torus] {
                 let cached = Machine::new(topo, 16, curve);
-                let plain = Machine::new(topo, 16, curve).without_oracle();
+                let plain = Machine::closed_form(topo, 16, curve);
                 for norm in [Norm::Chebyshev, Norm::Manhattan] {
                     for radius in 1..=4 {
                         let want = nfi_acd(&dense, &cached, radius, norm);
@@ -298,31 +343,6 @@ mod tests {
                         assert_eq!(want, nfi_acd(&sparse, &plain, radius, norm));
                     }
                 }
-            }
-        }
-    }
-
-    /// The oracle fast path and the closed-form fallback produce
-    /// bit-identical results.
-    #[test]
-    fn oracle_on_and_off_agree() {
-        let mut coords = Vec::new();
-        for x in 0..8u32 {
-            for y in 0..8u32 {
-                coords.push((x, y));
-            }
-        }
-        let particles = pts(&coords);
-        let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 16);
-        let cached = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert);
-        let plain = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert).without_oracle();
-        for norm in [Norm::Chebyshev, Norm::Manhattan] {
-            for r in 1..=3 {
-                assert_eq!(
-                    nfi_acd(&asg, &cached, r, norm),
-                    nfi_acd(&asg, &plain, r, norm),
-                    "radius {r}"
-                );
             }
         }
     }

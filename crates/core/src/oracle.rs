@@ -1,12 +1,12 @@
 //! Dense rank-to-rank hop-distance oracle.
 //!
-//! Every ACD metric in the paper reduces to summing [`Machine::distance`]
-//! over millions of (rank, rank) pairs, and each call pays a dyn-`Topology`
-//! virtual dispatch, a `node_of_rank` indirection, and the topology's
-//! closed-form arithmetic (for the quadtree, a bit-twiddling LCA walk).
-//! [`DistanceOracle`] precomputes the full `P × P` hop matrix once at
-//! machine construction so the kernels' inner loop becomes one
-//! multiply-add and a `u16` load.
+//! [`DistanceOracle`] precomputes the full `P × P` hop matrix once, so a
+//! [`Machine::distance`] call becomes a `u16` load instead of a
+//! dyn-`Topology` dispatch, a `node_of_rank` indirection and the
+//! topology's closed form. Only [`Machine::new`] builds one. The ACD
+//! kernels count traffic per rank pair and ask for each distinct pair's
+//! distance once per machine, so the sweeps build closed-form machines
+//! ([`Machine::closed_form`]) and no artifact materializes this table.
 //!
 //! ## Memory envelope and fallback
 //!
@@ -19,6 +19,8 @@
 //! off, which the test suite checks.
 //!
 //! [`Machine::distance`]: crate::Machine::distance
+//! [`Machine::new`]: crate::Machine::new
+//! [`Machine::closed_form`]: crate::Machine::closed_form
 
 use crate::error::SfcError;
 use sfc_topology::{NodeId, Topology};
@@ -74,31 +76,17 @@ impl DistanceOracle {
         self.num_ranks
     }
 
-    /// The full distance row of `rank`: `row(a)[b]` is the hop distance
-    /// from rank `a` to rank `b`. Kernels hoist this borrow out of their
-    /// inner scan so the per-pair cost is a single indexed load.
-    #[inline]
-    pub fn row(&self, rank: u32) -> &[u16] {
-        let a = rank as usize;
-        match self.table.get(a * self.num_ranks..(a + 1) * self.num_ranks) {
-            Some(row) => row,
-            None => panic!(
-                "rank {rank} out of range for a distance oracle over {} ranks",
-                self.num_ranks
-            ),
-        }
-    }
-
     /// Hop distance between ranks `a` and `b`.
     #[inline]
     pub fn distance(&self, a: u32, b: u32) -> u64 {
-        let b = b as usize;
-        assert!(
-            b < self.num_ranks,
-            "rank {b} out of range for a distance oracle over {} ranks",
-            self.num_ranks
-        );
-        u64::from(self.row(a)[b])
+        let n = self.num_ranks;
+        for rank in [a, b] {
+            assert!(
+                (rank as usize) < n,
+                "rank {rank} out of range for a distance oracle over {n} ranks"
+            );
+        }
+        u64::from(self.table[a as usize * n + b as usize])
     }
 
     /// Bytes held by the table, for memory-envelope reporting.
@@ -171,20 +159,6 @@ mod tests {
                 assert_eq!(diameter, (1 << 20) - 1)
             }
             other => panic!("expected overflow error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn row_borrow_matches_distance() {
-        let topo = Torus2d::square(3);
-        let identity: Vec<u64> = (0..64).collect();
-        let oracle = DistanceOracle::build(&topo, &identity).unwrap();
-        for a in 0..64u32 {
-            let row = oracle.row(a);
-            assert_eq!(row.len(), 64);
-            for b in 0..64u32 {
-                assert_eq!(u64::from(row[b as usize]), oracle.distance(a, b));
-            }
         }
     }
 

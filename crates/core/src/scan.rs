@@ -1,22 +1,35 @@
-//! The row-segment scan shared by the near- and far-field kernels.
+//! The row-segment scan shared by the near- and far-field kernels, and the
+//! per-sender pair counts it feeds.
 //!
 //! Both kernels ask the same question many times per cell: "which ranks own
-//! the occupied cells of this neighborhood, and how far is each from me?".
-//! An NFI neighborhood is a stack of clipped row segments around a particle
-//! with the particle's own cell cut out. An FFI interaction list is the
-//! parent's 6×6 block of children with the cell's own 3×3 cut out. So both
-//! reduce to one primitive, [`scan_row`]: tally one row segment, minus a
-//! hole.
+//! the occupied cells of this neighborhood?". An NFI neighborhood is a
+//! stack of clipped row segments around a particle with the particle's own
+//! cell cut out. An FFI interaction list is the parent's 6×6 block of
+//! children with the cell's own 3×3 cut out. So both reduce to one
+//! primitive, [`scan_row`]: count one row segment, minus a hole.
 //!
 //! The rank source is a [`RankRows`]. Where it holds a dense table, a
 //! segment is a contiguous slice. Where it does not, the same cells are
 //! probed one at a time. That covers over-cap grids and assignments built
 //! without the dense grid. Both branches visit the same cells, so the
-//! tallies are identical.
+//! counts are identical.
+//!
+//! A scan never asks how far a message travels. The paper's ACD separates
+//! into traffic, which depends only on the particles, the particle curve
+//! and `p`, and distance, which depends only on the machine. So the kernels
+//! walk one sender's cells at a time and count its messages per receiver in
+//! a [`PairCounts`]: a dense `P`-entry table plus the list of receivers it
+//! touched. When the sender changes, the distinct `(sender, receiver,
+//! count)` triples go to a [`PairSink`] and the table is cleared. The
+//! [`Totals`] sink evaluates them on a whole machine set at once:
+//! `distance[m] += count · m.distance(s, r)`. One scan of an assignment
+//! therefore serves every machine it is measured on, and a message costs
+//! one counter increment, whatever the machine.
 
 use crate::assignment::Assignment;
 use crate::machine::Machine;
 use sfc_particles::GridIndex;
+use std::cell::RefCell;
 use std::ops::Range;
 
 /// A grid level's cell → owner-rank mapping, as [`scan_row`] reads it.
@@ -44,111 +57,171 @@ impl RankRows for Assignment {
     }
 }
 
-/// Running sums of directed exchanges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) struct Tally {
-    /// Hop-distance sum.
-    pub distance: u64,
-    /// Number of exchanges.
+/// Where a scan delivers its traffic: one call per run of a sender's
+/// cells, with each distinct receiver and the number of messages it got.
+/// A sender whose cells are not contiguous in the scan is delivered in
+/// several calls; every sink only sums, so that changes nothing.
+pub(crate) trait PairSink {
+    /// Take the `(receiver, count)` pairs of `sender`. Every count is
+    /// positive and every receiver appears once; `sender` itself may be
+    /// among them (rank-local messages).
+    fn take(&mut self, sender: u32, pairs: impl Iterator<Item = (u32, u64)> + Clone);
+}
+
+/// Messages from one sender, counted per receiver.
+///
+/// The counts are `u64`, so they cannot overflow: a scan sends fewer
+/// messages than `u64::MAX` (at most `(2r + 1)²` per particle for the near
+/// field, 28 per cell and level for the far field).
+#[derive(Debug, Default)]
+pub(crate) struct PairCounts {
+    /// The rank whose messages are being counted.
+    sender: u32,
+    /// `counts[r]`: messages to rank `r`; zero outside `touched`.
+    counts: Vec<u64>,
+    /// Receivers with a non-zero count, in first-touch order.
+    touched: Vec<u32>,
+}
+
+impl PairCounts {
+    /// Clear the counts and size them for receivers `0..ranks`. The
+    /// allocation is reused, so once a thread has counted for `ranks`
+    /// ranks this allocates nothing.
+    pub fn reset(&mut self, ranks: u64) {
+        let ranks = ranks as usize;
+        self.sender = 0;
+        self.counts.clear();
+        self.counts.resize(ranks, 0);
+        self.touched.clear();
+        // At most `ranks` distinct receivers: `add` never reallocates.
+        self.touched.reserve(ranks);
+    }
+
+    /// Count messages from `sender` from now on, first handing the
+    /// previous sender's counts to `sink` if it differs.
+    #[inline]
+    pub fn send_from(&mut self, sender: u32, sink: &mut impl PairSink) {
+        if sender != self.sender {
+            self.flush(sink);
+            self.sender = sender;
+        }
+    }
+
+    /// Hand the current sender's counts to `sink` and clear them.
+    pub fn flush(&mut self, sink: &mut impl PairSink) {
+        if self.touched.is_empty() {
+            return;
+        }
+        let counts = &self.counts;
+        sink.take(
+            self.sender,
+            self.touched.iter().map(|&r| (r, counts[r as usize])),
+        );
+        for &r in &self.touched {
+            self.counts[r as usize] = 0;
+        }
+        self.touched.clear();
+    }
+
+    /// Count one message to `receiver`.
+    #[inline]
+    fn add(&mut self, receiver: u32) {
+        let count = &mut self.counts[receiver as usize];
+        if *count == 0 {
+            self.touched.push(receiver);
+        }
+        *count += 1;
+    }
+
+    /// Count one message to the owner of every occupied slot of a dense
+    /// row segment.
+    #[inline]
+    fn add_slots(&mut self, seg: &[u32]) {
+        for &other in seg {
+            if other != GridIndex::EMPTY {
+                self.add(other);
+            }
+        }
+    }
+}
+
+/// Traffic evaluated on a machine set: the hop-distance sum on each
+/// machine, plus the message counts, which no machine changes.
+pub(crate) struct Totals<'a> {
+    machines: &'a [&'a Machine],
+    /// `distance[m]`: hop-distance sum on `machines[m]`.
+    distance: &'a mut [u64],
+    /// Messages.
     pub comms: u64,
-    /// Exchanges whose two ends are on the same rank.
+    /// Messages whose two ends are on the same rank.
     pub local: u64,
 }
 
-impl Tally {
-    /// Merge two partial tallies.
-    pub fn merge(self, other: Tally) -> Tally {
-        Tally {
-            distance: self.distance + other.distance,
-            comms: self.comms + other.comms,
-            local: self.local + other.local,
+impl<'a> Totals<'a> {
+    /// Totals for `machines`, adding each machine's distances to its slot
+    /// of `distance`.
+    pub fn new(machines: &'a [&'a Machine], distance: &'a mut [u64]) -> Self {
+        assert_eq!(machines.len(), distance.len(), "one distance per machine");
+        Totals {
+            machines,
+            distance,
+            comms: 0,
+            local: 0,
         }
     }
 }
 
-/// The sending end of a scan: a rank plus its oracle row, hoisted once per
-/// cell so an exchange costs one indexed `u16` load.
-pub(crate) struct Sender<'a> {
-    rank: u32,
-    row: Option<&'a [u16]>,
-    machine: &'a Machine,
-}
-
-impl<'a> Sender<'a> {
-    /// The sender for `rank` on `machine`.
-    #[inline]
-    pub fn new(machine: &'a Machine, rank: u32) -> Self {
-        Sender {
-            rank,
-            row: machine.distance_row(rank),
-            machine,
-        }
-    }
-
-    /// Hop distance from the sender to `other`.
-    #[inline]
-    fn distance(&self, other: u32) -> u64 {
-        match self.row {
-            Some(row) => u64::from(row[other as usize]),
-            None => self.machine.distance(self.rank, other),
-        }
-    }
-
-    /// Tally one exchange with `other`.
-    #[inline]
-    fn exchange(&self, other: u32, acc: &mut Tally) {
-        acc.comms += 1;
-        if other == self.rank {
-            acc.local += 1;
-        } else {
-            acc.distance += self.distance(other);
-        }
-    }
-
-    /// Tally every occupied slot of a dense row segment. With the oracle
-    /// row in hand the accumulate is branchless past the occupancy test:
-    /// the oracle's zero self-distance makes rank-local exchanges add
-    /// nothing.
-    #[inline]
-    fn exchange_slots(&self, seg: &[u32], acc: &mut Tally) {
-        match self.row {
-            Some(row) => {
-                // Local sums stay in registers; measured ~8% faster on the
-                // NFI scan than accumulating through `acc`.
-                let mut t = Tally::default();
-                for &other in seg {
-                    if other == GridIndex::EMPTY {
-                        continue;
-                    }
-                    t.comms += 1;
-                    t.local += u64::from(other == self.rank);
-                    t.distance += u64::from(row[other as usize]);
-                }
-                *acc = acc.merge(t);
-            }
-            None => {
-                for &other in seg {
-                    if other != GridIndex::EMPTY {
-                        self.exchange(other, acc);
-                    }
-                }
+impl PairSink for Totals<'_> {
+    fn take(&mut self, sender: u32, pairs: impl Iterator<Item = (u32, u64)> + Clone) {
+        for (receiver, count) in pairs.clone() {
+            self.comms += count;
+            if receiver == sender {
+                self.local += count;
             }
         }
+        let remote = pairs.filter(|&(receiver, _)| receiver != sender);
+        for (machine, sum) in self.machines.iter().zip(self.distance.iter_mut()) {
+            *sum += remote
+                .clone()
+                .map(|(receiver, count)| count * machine.distance(sender, receiver))
+                .sum::<u64>();
+        }
     }
 }
 
-/// Tally the exchanges from `from` to every occupied cell `(x, y)` with `x`
-/// in `xs` but not in `hole`. Both ranges are half-open. `xs` must lie
-/// inside the level's side; `hole` may overhang it, and an empty `hole`
-/// (such as `0..0`) cuts nothing.
+/// Per-thread scan state, reused across kernel calls so a warm thread
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Two independent counters: the near field uses the first, the far
+    /// field one per message family.
+    pub counts: [PairCounts; 2],
+    /// Packed cells of one level, grouped by owner.
+    pub order: Vec<u64>,
+    /// Bucket bounds of `order`, one per rank plus one.
+    pub starts: Vec<usize>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Run `f` on this thread's [`Scratch`].
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// Count a message from the current sender of `acc` to every occupied cell
+/// `(x, y)` with `x` in `xs` but not in `hole`. Both ranges are half-open.
+/// `xs` must lie inside the level's side; `hole` may overhang it, and an
+/// empty `hole` (such as `0..0`) cuts nothing.
 #[inline]
 pub(crate) fn scan_row<R: RankRows + ?Sized>(
     rows: &R,
     y: u32,
     xs: Range<u32>,
     hole: Range<u32>,
-    from: &Sender<'_>,
-    acc: &mut Tally,
+    acc: &mut PairCounts,
 ) {
     match rows.row(y) {
         Some(row) => {
@@ -159,10 +232,10 @@ pub(crate) fn scan_row<R: RankRows + ?Sized>(
             let cut = |x: u32| (x.clamp(xs.start, xs.end) - xs.start) as usize;
             let (a, b) = (cut(hole.start), cut(hole.end));
             if a == b {
-                from.exchange_slots(row, acc);
+                acc.add_slots(row);
             } else {
-                from.exchange_slots(&row[..a], acc);
-                from.exchange_slots(&row[b..], acc);
+                acc.add_slots(&row[..a]);
+                acc.add_slots(&row[b..]);
             }
         }
         None => {
@@ -171,7 +244,7 @@ pub(crate) fn scan_row<R: RankRows + ?Sized>(
                     continue;
                 }
                 if let Some(other) = rows.probe(x, y) {
-                    from.exchange(other, acc);
+                    acc.add(other);
                 }
             }
         }
@@ -184,6 +257,7 @@ mod tests {
     use sfc_curves::CurveKind;
     use sfc_particles::cellmap::{pack_cell, CellMap};
     use sfc_topology::TopologyKind;
+    use std::collections::BTreeMap;
 
     /// A 4×4 level held twice: as dense rows and as a probe-only map.
     struct Dense(Vec<u32>);
@@ -207,6 +281,19 @@ mod tests {
         }
     }
 
+    /// Every delivered `(sender, receiver)` count, merged per pair.
+    #[derive(Debug, Default, PartialEq)]
+    struct Pairs(BTreeMap<(u32, u32), u64>);
+
+    impl PairSink for Pairs {
+        fn take(&mut self, sender: u32, pairs: impl Iterator<Item = (u32, u64)> + Clone) {
+            for (receiver, count) in pairs {
+                assert!(count > 0);
+                *self.0.entry((sender, receiver)).or_default() += count;
+            }
+        }
+    }
+
     fn level() -> (Dense, Probed) {
         let e = GridIndex::EMPTY;
         #[rustfmt::skip]
@@ -225,27 +312,32 @@ mod tests {
         (Dense(ranks), Probed(map))
     }
 
+    /// Count one segment of `rows` from `sender`.
+    fn scan<R: RankRows>(rows: &R, sender: u32, y: u32, xs: Range<u32>, hole: Range<u32>) -> Pairs {
+        let (mut acc, mut out) = (PairCounts::default(), Pairs::default());
+        acc.reset(16);
+        acc.send_from(sender, &mut out);
+        scan_row(rows, y, xs, hole, &mut acc);
+        acc.flush(&mut out);
+        out
+    }
+
     /// The probe branch, which serves over-cap grids and assignments
     /// without a dense grid, visits exactly the cells the slice branch
     /// does, for every segment and hole placement.
     #[test]
     fn probe_branch_matches_dense_rows() {
         let (dense, probed) = level();
-        for machine in [
-            Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert),
-            Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert).without_oracle(),
-        ] {
-            for rank in [0, 5, 14] {
-                let from = Sender::new(&machine, rank);
-                for y in 0..4 {
-                    for lo in 0..4 {
-                        for hi in lo..=4 {
-                            for hole in [0..0, 0..1, 1..3, 2..5, 3..4] {
-                                let (mut a, mut b) = (Tally::default(), Tally::default());
-                                scan_row(&dense, y, lo..hi, hole.clone(), &from, &mut a);
-                                scan_row(&probed, y, lo..hi, hole.clone(), &from, &mut b);
-                                assert_eq!(a, b, "y {y} xs {lo}..{hi} hole {hole:?}");
-                            }
+        for sender in [0, 5, 14] {
+            for y in 0..4 {
+                for lo in 0..4 {
+                    for hi in lo..=4 {
+                        for hole in [0..0, 0..1, 1..3, 2..5, 3..4] {
+                            assert_eq!(
+                                scan(&dense, sender, y, lo..hi, hole.clone()),
+                                scan(&probed, sender, y, lo..hi, hole.clone()),
+                                "y {y} xs {lo}..{hi} hole {hole:?}"
+                            );
                         }
                     }
                 }
@@ -253,32 +345,50 @@ mod tests {
         }
     }
 
+    /// Local messages count but travel nowhere; remote ones add their
+    /// hop distance on every machine of the set.
     #[test]
-    fn probe_branch_counts_local_and_remote_exchanges() {
-        let (_, probed) = level();
-        let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::RowMajor).without_oracle();
-        let from = Sender::new(&machine, 5);
-        let mut acc = Tally::default();
+    fn totals_count_local_and_remote_messages_on_every_machine() {
+        let (dense, _) = level();
+        let mesh = Machine::closed_form(TopologyKind::Mesh, 16, CurveKind::RowMajor);
+        let ring = Machine::new(TopologyKind::Ring, 64, CurveKind::RowMajor);
+        let machines = [&mesh, &ring];
+        let mut distance = [0; 2];
+        let mut totals = Totals::new(&machines, &mut distance);
+        let mut acc = PairCounts::default();
+        acc.reset(16);
+        acc.send_from(5, &mut totals);
         // Row 1 is [_, 5, 5, _]; cutting out x = 1 leaves one local cell.
-        scan_row(&probed, 1, 0..4, 1..2, &from, &mut acc);
-        assert_eq!(
-            acc,
-            Tally {
-                distance: 0,
-                comms: 1,
-                local: 1
-            }
-        );
-        // Row 3 is [_, 13, 14, 15]: three remote exchanges.
-        scan_row(&probed, 3, 0..4, 0..0, &from, &mut acc);
-        let want: u64 = [13, 14, 15].iter().map(|&r| machine.distance(5, r)).sum();
-        assert_eq!(
-            acc,
-            Tally {
-                distance: want,
-                comms: 4,
-                local: 1
-            }
-        );
+        scan_row(&dense, 1, 0..4, 1..2, &mut acc);
+        // Row 3 is [_, 13, 14, 15]: three remote messages, twice.
+        scan_row(&dense, 3, 0..4, 0..0, &mut acc);
+        scan_row(&dense, 3, 0..4, 0..0, &mut acc);
+        acc.flush(&mut totals);
+        assert_eq!((totals.comms, totals.local), (7, 1));
+        for (m, machine) in machines.iter().enumerate() {
+            let want: u64 = [13, 14, 15]
+                .iter()
+                .map(|&r| 2 * machine.distance(5, r))
+                .sum();
+            assert_eq!(distance[m], want, "machine {m}");
+        }
+    }
+
+    /// A sender whose cells come in several runs is delivered in several
+    /// pieces, and a new sender flushes the previous one first.
+    #[test]
+    fn send_from_flushes_on_every_sender_change() {
+        let (dense, _) = level();
+        let (mut acc, mut out) = (PairCounts::default(), Pairs::default());
+        acc.reset(16);
+        for sender in [2, 2, 8, 2] {
+            acc.send_from(sender, &mut out);
+            scan_row(&dense, 0, 0..4, 0..0, &mut acc);
+        }
+        acc.flush(&mut out);
+        let want = |n| BTreeMap::from([((2, 0), n), ((2, 2), n), ((2, 3), n)]);
+        let mut all = want(3);
+        all.extend([((8, 0), 1), ((8, 2), 1), ((8, 3), 1)]);
+        assert_eq!(out.0, all);
     }
 }

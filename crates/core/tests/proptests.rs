@@ -2,9 +2,9 @@
 //! that must hold for arbitrary inputs, curves and machines.
 
 use proptest::prelude::*;
-use sfc_core::ffi::{ffi_acd, ffi_acd_with_tree, FfiResult, OwnerTree};
+use sfc_core::ffi::{ffi_acd, ffi_acd_on, ffi_acd_with_tree, FfiResult, OwnerTree};
 use sfc_core::load::route;
-use sfc_core::nfi::nfi_acd;
+use sfc_core::nfi::{nfi_acd, nfi_acd_on, NfiResult};
 use sfc_core::{Assignment, Machine};
 use sfc_curves::point::Norm;
 use sfc_curves::{CurveKind, Point2};
@@ -71,8 +71,89 @@ fn reference_ffi(asg: &Assignment, machine: &Machine) -> FfiResult {
     r
 }
 
+/// Brute-force near field: every ordered pair of distinct particles within
+/// `radius` under `norm`, with hop distances straight from the topology.
+fn reference_nfi(asg: &Assignment, machine: &Machine, radius: u32, norm: Norm) -> NfiResult {
+    let hops = |a: u32, b: u32| {
+        let topo = machine.topology();
+        topo.distance(machine.node_of(a), machine.node_of(b))
+    };
+    let particles = asg.particles();
+    let mut r = NfiResult::default();
+    for (i, p) in particles.iter().enumerate() {
+        for (j, q) in particles.iter().enumerate() {
+            let (dx, dy) = (p.x.abs_diff(q.x), p.y.abs_diff(q.y));
+            let d = match norm {
+                Norm::Chebyshev => dx.max(dy),
+                Norm::Manhattan => dx + dy,
+            };
+            if i == j || d > radius {
+                continue;
+            }
+            let (a, b) = (asg.rank_of_index(i), asg.rank_of_index(j));
+            r.num_comms += 1;
+            r.local_comms += u64::from(a == b);
+            r.total_distance += hops(a, b);
+        }
+    }
+    r
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One scan evaluated on a whole machine set gives, machine by machine,
+    /// what the single-machine kernels give, and both equal the brute-force
+    /// references. The set holds all six topologies, each with or without
+    /// the oracle, sized up to 16× the assignment's ranks; the particle
+    /// curves include Row-major and Gray, whose coarse-level owners are not
+    /// in rank order.
+    #[test]
+    fn machine_sets_match_single_machines_and_brute_force(
+        raws in prop::collection::vec((any::<u32>(), any::<u32>()), 1..100),
+        order in 2u32..6,
+        curve_idx in 0usize..4,
+        procs_idx in 0usize..3,
+        spare in 0u32..3,
+        radius in 1u32..5,
+        manhattan in any::<bool>(),
+        oracles in 0u32..64,
+    ) {
+        let cells = distinct_cells(order, &raws);
+        let curve = [CurveKind::RowMajor, CurveKind::Gray, CurveKind::Hilbert, CurveKind::ZCurve][curve_idx];
+        let norm = if manhattan { Norm::Manhattan } else { Norm::Chebyshev };
+        let procs = [4u64, 16, 64][procs_idx];
+        let dense = Assignment::new(&cells, order, curve, procs);
+        let sparse = dense.clone().without_dense_grid();
+        let machine_ranks = procs << (2 * spare);
+        let machines: Vec<Machine> = TopologyKind::PAPER
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| match oracles >> i & 1 {
+                1 => Machine::new(kind, machine_ranks, curve),
+                _ => Machine::closed_form(kind, machine_ranks, curve),
+            })
+            .collect();
+        let set: Vec<&Machine> = machines.iter().collect();
+        let want: Vec<(NfiResult, FfiResult)> = machines
+            .iter()
+            .map(|m| (reference_nfi(&dense, m, radius, norm), reference_ffi(&dense, m)))
+            .collect();
+        for asg in [&dense, &sparse] {
+            let tree = OwnerTree::build(asg);
+            let near = nfi_acd_on(asg, &set, radius, norm).unwrap();
+            let far = ffi_acd_on(asg, &set, &tree).unwrap();
+            prop_assert_eq!(near.len(), set.len());
+            prop_assert_eq!(far.len(), set.len());
+            for (i, m) in machines.iter().enumerate() {
+                let (want_near, want_far) = want[i];
+                prop_assert_eq!(nfi_acd(asg, m, radius, norm).unwrap(), want_near);
+                prop_assert_eq!(near[i], want_near);
+                prop_assert_eq!(ffi_acd_with_tree(asg, m, &tree).unwrap(), want_far);
+                prop_assert_eq!(far[i], want_far);
+            }
+        }
+    }
 
     /// The owner pyramid and the far-field kernel agree with the
     /// brute-force reference at every order, on every topology, with the
@@ -92,7 +173,7 @@ proptest! {
         let sparse = dense.clone().without_dense_grid();
         prop_assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
         let cached = Machine::new(TopologyKind::PAPER[topo_idx], procs, curve);
-        let plain = Machine::new(TopologyKind::PAPER[topo_idx], procs, curve).without_oracle();
+        let plain = Machine::closed_form(TopologyKind::PAPER[topo_idx], procs, curve);
         let want = reference_ffi(&dense, &plain);
         let owners = reference_owners(&dense);
         // One tree, rebuilt in place from another grid order, so table
