@@ -75,9 +75,7 @@ fn main() {
     let scan_dense = median_us(|| nfi_acd(&dense, &machine, RADIUS, Norm::Chebyshev).unwrap());
     let scan_sparse = median_us(|| nfi_acd(&sparse, &machine, RADIUS, Norm::Chebyshev).unwrap());
     let scan_speedup = scan_sparse / scan_dense;
-    eprintln!(
-        "nfi_scan: dense {scan_dense:.1}us, cellmap {scan_sparse:.1}us, {scan_speedup:.2}x"
-    );
+    eprintln!("nfi_scan: dense {scan_dense:.1}us, cellmap {scan_sparse:.1}us, {scan_speedup:.2}x");
 
     let e2e = |asg: &Assignment| {
         let nfi = nfi_acd(asg, &machine, RADIUS, Norm::Chebyshev).unwrap();

@@ -108,9 +108,7 @@ impl SweepArgs {
                 "--seed" => out.seed = next_num(&mut it, "--seed")?,
                 "--markdown" => out.markdown = true,
                 "--json" => {
-                    out.json = Some(
-                        it.next().ok_or_else(|| "--json needs a path".to_string())?,
-                    )
+                    out.json = Some(it.next().ok_or_else(|| "--json needs a path".to_string())?)
                 }
                 "--journal" => {
                     out.journal = Some(
@@ -118,9 +116,7 @@ impl SweepArgs {
                             .ok_or_else(|| "--journal needs a path".to_string())?,
                     )
                 }
-                "--time-budget" => {
-                    out.time_budget = Some(next_num(&mut it, "--time-budget")?)
-                }
+                "--time-budget" => out.time_budget = Some(next_num(&mut it, "--time-budget")?),
                 "--chaos" => {
                     let list = it
                         .next()
@@ -157,9 +153,7 @@ impl SweepArgs {
                             .ok_or_else(|| "--cache needs a directory".to_string())?,
                     )
                 }
-                "--cache-mem-mb" => {
-                    out.cache_mem_mb = next_num(&mut it, "--cache-mem-mb")?
-                }
+                "--cache-mem-mb" => out.cache_mem_mb = next_num(&mut it, "--cache-mem-mb")?,
                 "--emit-specs" => out.emit_specs = true,
                 "--help" | "-h" => return Err(usage()),
                 other => return Err(format!("unknown flag `{other}`\n{}", usage())),
@@ -316,11 +310,23 @@ mod tests {
 
     #[test]
     fn emit_specs_prints_the_canonical_spec() {
-        let a = parse(&["--scale", "4", "--trials", "1", "--seed", "7", "--emit-specs"]).unwrap();
+        let a = parse(&[
+            "--scale",
+            "4",
+            "--trials",
+            "1",
+            "--seed",
+            "7",
+            "--emit-specs",
+        ])
+        .unwrap();
         // The emitted line is exactly the spec's canonical string — the
         // same identity the cache and daemon key the run by.
         let spec = a.spec(ArtifactKind::Figure7);
-        assert_eq!(spec.canonical_string(), ExperimentSpec::figure7(4, 1, 7).canonical_string());
+        assert_eq!(
+            spec.canonical_string(),
+            ExperimentSpec::figure7(4, 1, 7).canonical_string()
+        );
     }
 
     #[test]
@@ -342,22 +348,38 @@ mod tests {
         assert!(parse(&["--cache-mem-mb", "lots"]).is_err());
         // The fast-path ablations are a library seam (`ComputeOpts`), not
         // CLI flags.
-        assert!(parse(&["--no-oracle"]).unwrap_err().starts_with("unknown flag"));
-        assert!(parse(&["--no-dense-grid"]).unwrap_err().starts_with("unknown flag"));
+        assert!(parse(&["--no-oracle"])
+            .unwrap_err()
+            .starts_with("unknown flag"));
+        assert!(parse(&["--no-dense-grid"])
+            .unwrap_err()
+            .starts_with("unknown flag"));
     }
 
     #[test]
     fn spec_reflects_the_what_flags_only() {
         let a = parse(&["--scale", "4", "--trials", "2", "--seed", "99"]).unwrap();
         let b = parse(&[
-            "--scale", "4", "--trials", "2", "--seed", "99", "--jobs", "3", "--markdown",
-            "--cache", "/tmp/c",
+            "--scale",
+            "4",
+            "--trials",
+            "2",
+            "--seed",
+            "99",
+            "--jobs",
+            "3",
+            "--markdown",
+            "--cache",
+            "/tmp/c",
         ])
         .unwrap();
         let spec = a.spec(ArtifactKind::Table1);
         assert_eq!(spec, ExperimentSpec::table1(4, 2, 99));
         // Runner options never reach the spec (or its hash).
-        assert_eq!(spec.canonical_hash(), b.spec(ArtifactKind::Table1).canonical_hash());
+        assert_eq!(
+            spec.canonical_hash(),
+            b.spec(ArtifactKind::Table1).canonical_hash()
+        );
         assert_ne!(
             spec.canonical_hash(),
             b.spec(ArtifactKind::Figure7).canonical_hash()

@@ -49,7 +49,10 @@ pub mod error_kind {
     /// a bad request stays bad, a deadline re-expires, and a draining
     /// daemon is going away.
     pub fn is_retryable(kind: &str) -> bool {
-        matches!(kind, OVERLOADED | COMPUTE_PANIC | TRANSPORT | WARM_QUEUE_FULL)
+        matches!(
+            kind,
+            OVERLOADED | COMPUTE_PANIC | TRANSPORT | WARM_QUEUE_FULL
+        )
     }
 }
 
@@ -125,7 +128,10 @@ pub fn write_trace(artifact: &str, args: &SweepArgs, summary: &SweepSummary) {
                 "phase",
                 &rid,
                 Duration::from_secs_f64(ms / 1e3),
-                &[("cell", cell.as_str().to_json()), ("phase", phase.as_str().to_json())],
+                &[
+                    ("cell", cell.as_str().to_json()),
+                    ("phase", phase.as_str().to_json()),
+                ],
             );
         }
         sink.span(
@@ -205,15 +211,16 @@ pub fn run_artifact_with(kind: ArtifactKind, args: &SweepArgs) {
     // process that loads the same key repeatedly pays the file reads and
     // sha256 pass once.
     let mem_budget = args.cache_mem_mb.saturating_mul(1024 * 1024);
-    let cache = args.cache.as_ref().map(|dir| {
-        match ResultCache::with_memory_budget(dir, mem_budget) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error: cannot open cache `{dir}`: {e}");
-                std::process::exit(2);
-            }
-        }
-    });
+    let cache =
+        args.cache.as_ref().map(
+            |dir| match ResultCache::with_memory_budget(dir, mem_budget) {
+                Ok(c) => c,
+                Err(e) => {
+                    eprintln!("error: cannot open cache `{dir}`: {e}");
+                    std::process::exit(2);
+                }
+            },
+        );
 
     if let Some(cache) = &cache {
         if let Some(hit) = cache.load(&spec) {
@@ -245,7 +252,9 @@ pub fn run_artifact_with(kind: ArtifactKind, args: &SweepArgs) {
     );
 
     if let Some(cache) = &cache {
-        store_if_complete(cache, kind, args, &spec, &banner, &out, &json_text, &summary);
+        store_if_complete(
+            cache, kind, args, &spec, &banner, &out, &json_text, &summary,
+        );
     }
 }
 
@@ -296,18 +305,20 @@ fn store_if_complete(
         return;
     }
     let artifact = CachedArtifact {
-        stdout_plain: format!("{banner}
-{}", out.body_plain),
-        stdout_markdown: format!("{banner}
-{}", out.body_markdown),
+        stdout_plain: format!(
+            "{banner}
+{}",
+            out.body_plain
+        ),
+        stdout_markdown: format!(
+            "{banner}
+{}",
+            out.body_markdown
+        ),
         artifact_json: json_text.to_string(),
     };
     match cache.store(spec, &artifact) {
-        Ok(()) => eprintln!(
-            "# cache {}: stored {}",
-            kind.name(),
-            ResultCache::key(spec)
-        ),
+        Ok(()) => eprintln!("# cache {}: stored {}", kind.name(), ResultCache::key(spec)),
         Err(e) => eprintln!("# cache {}: store failed: {e}", kind.name()),
     }
 }
@@ -349,10 +360,8 @@ mod tests {
 
     #[test]
     fn write_trace_emits_cell_and_phase_spans_under_one_request_id() {
-        let path = std::env::temp_dir().join(format!(
-            "sfc-bench-trace-{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("sfc-bench-trace-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let args = SweepArgs {
             trace: Some(path.to_string_lossy().into_owned()),
@@ -382,7 +391,9 @@ mod tests {
             .iter()
             .map(|r| r.get("request_id").and_then(Value::as_str).unwrap())
             .collect();
-        assert!(rids.iter().all(|r| *r == rids[0] && r.starts_with("table1-")));
+        assert!(rids
+            .iter()
+            .all(|r| *r == rids[0] && r.starts_with("table1-")));
         let names: Vec<&str> = records
             .iter()
             .map(|r| r.get("name").and_then(Value::as_str).unwrap())
@@ -412,7 +423,10 @@ mod tests {
         };
         // A journal written at one thread count must resume at any other.
         assert_eq!(fingerprint(&a), fingerprint(&b));
-        let c = SweepArgs { seed: 1, ..SweepArgs::default() };
+        let c = SweepArgs {
+            seed: 1,
+            ..SweepArgs::default()
+        };
         assert_ne!(fingerprint(&a), fingerprint(&c));
     }
 }

@@ -88,7 +88,12 @@ fn cells_json(summary: &SweepSummary) -> Value {
 /// Common envelope for one exported artifact. The `config` section reports
 /// the spec's scale/trials/seed, so a cache replay and a fresh run of the
 /// same spec serialize identically.
-pub fn envelope(artifact: &str, spec: &ExperimentSpec, summary: &SweepSummary, data: Value) -> Value {
+pub fn envelope(
+    artifact: &str,
+    spec: &ExperimentSpec,
+    summary: &SweepSummary,
+    data: Value,
+) -> Value {
     json!({
         "artifact": artifact,
         "paper": "DeFord & Kalyanaraman, ICPP 2013",
@@ -395,7 +400,10 @@ mod tests {
         ));
         summary.timings.push((
             "Uniform/t0/Z".into(),
-            sfc_core::CellTiming { wall_ms: 9.0, phases: vec![] },
+            sfc_core::CellTiming {
+                wall_ms: 9.0,
+                phases: vec![],
+            },
         ));
         let v = timing_json("table1", &args, &summary);
         assert_eq!(v["artifact"], "table1-timing");
@@ -431,8 +439,7 @@ mod tests {
         let v = envelope("figure5", &tiny_spec(), &done(), anns_data(&[sweep]));
         let path = std::env::temp_dir().join("sfc_bench_results_test.json");
         write_json(path.to_str().unwrap(), &v).unwrap();
-        let read: Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let read: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(read["artifact"], "figure5");
         std::fs::remove_file(path).ok();
     }

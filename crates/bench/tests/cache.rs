@@ -7,7 +7,9 @@ use std::process::Command;
 fn run_table1(cache: &str, json: &str, extra: &[&str]) -> (String, String, bool) {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_table1"));
     // Scale 9: a 2x2 grid with one particle — the cheapest complete run.
-    cmd.args(["--scale", "9", "--trials", "1", "--cache", cache, "--json", json]);
+    cmd.args([
+        "--scale", "9", "--trials", "1", "--cache", cache, "--json", json,
+    ]);
     cmd.args(extra);
     let out = cmd.output().expect("binary runs");
     (
@@ -40,7 +42,10 @@ fn repeat_run_replays_bytes_and_computes_zero_cells() {
         err2.contains("0 cell(s) computed, artifact replayed from cache"),
         "{err2}"
     );
-    assert!(!err2.contains("sweep"), "a cache hit must not run a sweep: {err2}");
+    assert!(
+        !err2.contains("sweep"),
+        "a cache hit must not run a sweep: {err2}"
+    );
     assert_eq!(out1, out2, "replayed stdout must be byte-identical");
     let json1 = std::fs::read(&j1).unwrap();
     let json2 = std::fs::read(&j2).unwrap();

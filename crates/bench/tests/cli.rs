@@ -28,7 +28,13 @@ const TINY: &[&str] = &["--scale", "5", "--trials", "1"];
 fn table1_prints_all_three_distributions() {
     let (stdout, _, ok) = run("table1", TINY);
     assert!(ok);
-    for needle in ["Uniform", "Normal", "Exponential", "Hilbert Curve", "Row Major"] {
+    for needle in [
+        "Uniform",
+        "Normal",
+        "Exponential",
+        "Hilbert Curve",
+        "Row Major",
+    ] {
         assert!(stdout.contains(needle), "missing {needle}\n{stdout}");
     }
     // 3 blocks x 4 rows of data.
@@ -111,7 +117,10 @@ fn timing_flag_writes_phase_envelope_and_leaves_artifact_alone() {
     let (_, _, ok) = run("table1", &args_timed);
     assert!(ok);
     // `--timing` must not perturb the deterministic artifact.
-    assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&artifact).unwrap());
+    assert_eq!(
+        std::fs::read(&plain).unwrap(),
+        std::fs::read(&artifact).unwrap()
+    );
     let text = std::fs::read_to_string(&timing).expect("timing envelope written");
     let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
     assert_eq!(v["artifact"], "table1-timing");

@@ -120,12 +120,7 @@ fn transient_fault_is_retried_and_invisible_in_the_artifact() {
     let json = tmp("chaos_once.json");
     // Sabotage the first attempt of every Normal-distribution cell; the
     // bounded retry recomputes them.
-    let (_, stderr, ok) = run_table1(&[
-        "--chaos",
-        "Normal/",
-        "--json",
-        json.to_str().unwrap(),
-    ]);
+    let (_, stderr, ok) = run_table1(&["--chaos", "Normal/", "--json", json.to_str().unwrap()]);
     assert!(ok, "stderr: {stderr}");
     assert_eq!(std::fs::read(&json).unwrap(), baseline("chaos_once"));
     std::fs::remove_file(&json).ok();
@@ -143,7 +138,10 @@ fn persistent_fault_becomes_structured_error_without_aborting() {
     ]);
     // The sweep completes and reports the failure as data, not a crash.
     assert!(ok, "stderr: {stderr}");
-    assert!(stderr.contains("FAILED after 3 attempt(s)"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("FAILED after 3 attempt(s)"),
+        "stderr: {stderr}"
+    );
     let v: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
     let failed = v["cells"]["failed"].as_array().unwrap();
@@ -177,7 +175,10 @@ fn exhausted_time_budget_skips_then_resumes_to_identical_artifact() {
     ]);
     assert!(ok);
     assert!(stderr.contains("time budget exhausted"), "stderr: {stderr}");
-    assert!(stderr.contains("missing Uniform/t0/Hilbert"), "stderr: {stderr}");
+    assert!(
+        stderr.contains("missing Uniform/t0/Hilbert"),
+        "stderr: {stderr}"
+    );
     let v: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
     assert_eq!(v["cells"]["skipped"].as_array().unwrap().len(), 24);
@@ -208,7 +209,10 @@ fn parallel_run_is_byte_identical_to_serial() {
     let (stdout8, _, ok) = run_table1(&["--jobs", "8", "--json", json8.to_str().unwrap()]);
     assert!(ok);
 
-    assert_eq!(stdout1, stdout8, "stdout differs between --jobs 1 and --jobs 8");
+    assert_eq!(
+        stdout1, stdout8,
+        "stdout differs between --jobs 1 and --jobs 8"
+    );
     assert_eq!(
         std::fs::read(&json1).unwrap(),
         std::fs::read(&json8).unwrap(),
@@ -228,11 +232,21 @@ fn parallel_run_under_chaos_matches_serial() {
     let json8 = tmp("chaos_jobs8.json");
 
     let chaos = &["--chaos", "Normal/"];
-    let (_, _, ok) =
-        run_table1(&[chaos, &["--jobs", "1", "--json", json1.to_str().unwrap()][..]].concat());
+    let (_, _, ok) = run_table1(
+        &[
+            chaos,
+            &["--jobs", "1", "--json", json1.to_str().unwrap()][..],
+        ]
+        .concat(),
+    );
     assert!(ok);
-    let (_, _, ok) =
-        run_table1(&[chaos, &["--jobs", "8", "--json", json8.to_str().unwrap()][..]].concat());
+    let (_, _, ok) = run_table1(
+        &[
+            chaos,
+            &["--jobs", "8", "--json", json8.to_str().unwrap()][..],
+        ]
+        .concat(),
+    );
     assert!(ok);
 
     let bytes1 = std::fs::read(&json1).unwrap();

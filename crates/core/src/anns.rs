@@ -106,7 +106,11 @@ fn stretch_scan<const CYCLIC: bool>(table: &CurveTable, radius: u32, norm: Norm)
                     for &(dx, _, dist) in &offsets[s..=e] {
                         let there = nrow[(x + dx) as usize];
                         let linear = here.abs_diff(there);
-                        let measured = if CYCLIC { linear.min(n - linear) } else { linear };
+                        let measured = if CYCLIC {
+                            linear.min(n - linear)
+                        } else {
+                            linear
+                        };
                         let stretch = measured as f64 / dist as f64;
                         acc.total_stretch += stretch;
                         acc.num_pairs += 1;
@@ -127,10 +131,7 @@ fn check_stretch_params(order: u32, radius: u32, max_order: u32) -> Result<(), S
         return Err(SfcError::ZeroRadius);
     }
     if order > max_order {
-        return Err(SfcError::OrderTooLarge {
-            order,
-            max_order,
-        });
+        return Err(SfcError::OrderTooLarge { order, max_order });
     }
     Ok(())
 }
@@ -294,7 +295,10 @@ mod tests {
             let z = anns(CurveKind::ZCurve, order).unwrap().average();
             let gray = anns(CurveKind::Gray, order).unwrap().average();
             let row = anns(CurveKind::RowMajor, order).unwrap().average();
-            assert!(z < gray && z < hilbert, "order {order}: z={z} gray={gray} hilbert={hilbert}");
+            assert!(
+                z < gray && z < hilbert,
+                "order {order}: z={z} gray={gray} hilbert={hilbert}"
+            );
             assert!(row < gray && row < hilbert, "order {order}: row={row}");
         }
     }
@@ -305,11 +309,18 @@ mod tests {
         // the curves was the same".
         let order = 6;
         for radius in [2, 4, 6] {
-            let z = anns_radius(CurveKind::ZCurve, order, radius, Norm::Manhattan).unwrap().average();
-            let hilbert =
-                anns_radius(CurveKind::Hilbert, order, radius, Norm::Manhattan).unwrap().average();
-            let gray = anns_radius(CurveKind::Gray, order, radius, Norm::Manhattan).unwrap().average();
-            let row = anns_radius(CurveKind::RowMajor, order, radius, Norm::Manhattan).unwrap().average();
+            let z = anns_radius(CurveKind::ZCurve, order, radius, Norm::Manhattan)
+                .unwrap()
+                .average();
+            let hilbert = anns_radius(CurveKind::Hilbert, order, radius, Norm::Manhattan)
+                .unwrap()
+                .average();
+            let gray = anns_radius(CurveKind::Gray, order, radius, Norm::Manhattan)
+                .unwrap()
+                .average();
+            let row = anns_radius(CurveKind::RowMajor, order, radius, Norm::Manhattan)
+                .unwrap()
+                .average();
             assert!(z < gray && z < hilbert, "radius {radius}");
             assert!(row < gray && row < hilbert, "radius {radius}");
         }
@@ -375,7 +386,11 @@ mod tests {
                         }
                         let there = table.index(Point2::new(nx as u32, ny as u32));
                         let linear = here.abs_diff(there);
-                        let measured = if cyclic { linear.min(n - linear) } else { linear };
+                        let measured = if cyclic {
+                            linear.min(n - linear)
+                        } else {
+                            linear
+                        };
                         let stretch = measured as f64 / dist as f64;
                         acc.total_stretch += stretch;
                         acc.num_pairs += 1;

@@ -52,12 +52,10 @@ pub fn anns3d_radius(kind: Curve3dKind, order: u32, radius: u32) -> StretchResul
                     let here = curve.index(Point3::new(x as u32, y as u32, z as u32));
                     for &(dx, dy, dz, dist) in &offsets {
                         let (nx, ny, nz) = (x + dx, y + dy, z + dz);
-                        if nx < 0 || ny < 0 || nz < 0 || nx >= side || ny >= side || nz >= side
-                        {
+                        if nx < 0 || ny < 0 || nz < 0 || nx >= side || ny >= side || nz >= side {
                             continue;
                         }
-                        let there =
-                            curve.index(Point3::new(nx as u32, ny as u32, nz as u32));
+                        let there = curve.index(Point3::new(nx as u32, ny as u32, nz as u32));
                         let stretch = here.abs_diff(there) as f64 / dist as f64;
                         total += stretch;
                         pairs += 1;

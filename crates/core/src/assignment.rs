@@ -60,12 +60,7 @@ impl Assignment {
     /// Order `particles` (distinct cells on a `2^grid_order`-sided grid) by
     /// `curve` and distribute them to `num_ranks` processors in consecutive
     /// chunks of `⌈n/p⌉`.
-    pub fn new(
-        particles: &[Point2],
-        grid_order: u32,
-        curve: CurveKind,
-        num_ranks: u64,
-    ) -> Self {
+    pub fn new(particles: &[Point2], grid_order: u32, curve: CurveKind, num_ranks: u64) -> Self {
         Self::with_dense_grid(particles, grid_order, curve, num_ranks, true)
     }
 
@@ -96,7 +91,11 @@ impl Assignment {
         let mut cell_rank = CellMap::with_capacity(n);
         // `GridIndex::new` is the cap gate: over-cap grids get `None` and
         // silently keep the probe path.
-        let mut grid = if dense { GridIndex::new(grid_order) } else { None };
+        let mut grid = if dense {
+            GridIndex::new(grid_order)
+        } else {
+            None
+        };
         let mut ordered = Vec::with_capacity(n);
         for (i, &(_, p)) in sorted.iter().enumerate() {
             let rank = (i / chunk) as u32;

@@ -467,9 +467,7 @@ impl ResultCache {
         if meta.get("kernel_version").and_then(Value::as_str) != Some(KERNEL_VERSION) {
             return Err("meta.json kernel_version mismatch".to_string());
         }
-        if meta.get("spec_hash").and_then(Value::as_str)
-            != Some(spec.canonical_hash()).as_deref()
-        {
+        if meta.get("spec_hash").and_then(Value::as_str) != Some(spec.canonical_hash()).as_deref() {
             return Err("meta.json spec_hash mismatch".to_string());
         }
         let read = |name: &str| -> Result<String, String> {
@@ -542,9 +540,7 @@ impl ResultCache {
                     continue;
                 }
                 Err(e) => {
-                    eprintln!(
-                        "# cache: cannot quarantine {key} ({reason}); removing instead: {e}"
-                    );
+                    eprintln!("# cache: cannot quarantine {key} ({reason}); removing instead: {e}");
                     let _ = fs::remove_dir_all(dir);
                     self.counters.quarantined.inc();
                     return;
@@ -569,10 +565,7 @@ impl ResultCache {
             return Ok(());
         }
         let key = Self::key(spec);
-        let tmp = self.root.join(format!(
-            ".tmp-{key}-{}",
-            std::process::id()
-        ));
+        let tmp = self.root.join(format!(".tmp-{key}-{}", std::process::id()));
         fs::create_dir_all(&tmp)?;
         let checksums = json!({
             "stdout.txt": crate::sha256::sha256_hex(artifact.stdout_plain.as_bytes()),
@@ -624,10 +617,7 @@ mod tests {
     use crate::spec::ExperimentSpec;
 
     fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "sfc-cache-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("sfc-cache-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
     }
@@ -706,7 +696,11 @@ mod tests {
         cache.store(&spec, &artifact).unwrap();
         // The repaired entry hits from now on: recomputed once, not forever.
         assert_eq!(cache.load(&spec), Some(artifact));
-        assert_eq!(cache.quarantined(), 1, "a repaired entry must not re-quarantine");
+        assert_eq!(
+            cache.quarantined(),
+            1,
+            "a repaired entry must not re-quarantine"
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -826,7 +820,10 @@ mod tests {
         let spec = ExperimentSpec::table1(5, 1, 7);
         let artifact = sample_artifact();
         // Written by a handle with no tier (a CLI run, say)...
-        ResultCache::new(&root).unwrap().store(&spec, &artifact).unwrap();
+        ResultCache::new(&root)
+            .unwrap()
+            .store(&spec, &artifact)
+            .unwrap();
 
         // ...then read through a tiered handle: first load verifies from
         // disk and promotes, the second is pure memory. All three paths —
@@ -841,7 +838,10 @@ mod tests {
         assert_eq!(*from_mem, artifact);
 
         let stats = cache.mem_stats();
-        assert_eq!((stats.disk_hits, stats.mem_hits, stats.mem_entries), (1, 1, 1));
+        assert_eq!(
+            (stats.disk_hits, stats.mem_hits, stats.mem_entries),
+            (1, 1, 1)
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -852,13 +852,18 @@ mod tests {
         // two sample entries.
         let budget = 2 * entry_bytes("k".repeat(64).as_str(), &sample_artifact()) + 16;
         let cache = ResultCache::with_memory_tier(&root, budget, 1).unwrap();
-        let specs: Vec<ExperimentSpec> =
-            (0..4).map(|s| ExperimentSpec::table1(5, 1, 100 + s)).collect();
+        let specs: Vec<ExperimentSpec> = (0..4)
+            .map(|s| ExperimentSpec::table1(5, 1, 100 + s))
+            .collect();
         for spec in &specs {
             cache.store(spec, &sample_artifact()).unwrap();
         }
         let stats = cache.mem_stats();
-        assert!(stats.mem_evictions >= 2, "evictions: {}", stats.mem_evictions);
+        assert!(
+            stats.mem_evictions >= 2,
+            "evictions: {}",
+            stats.mem_evictions
+        );
         assert!(stats.mem_bytes <= budget, "{} > {budget}", stats.mem_bytes);
         assert_eq!(stats.mem_entries, 2);
 
@@ -879,7 +884,11 @@ mod tests {
         let spec = ExperimentSpec::table1(5, 1, 7);
         cache.store(&spec, &sample_artifact()).unwrap();
         assert_eq!(cache.mem_stats().mem_entries, 0);
-        assert_eq!(cache.mem_stats().mem_evictions, 0, "no thrash for a lost cause");
+        assert_eq!(
+            cache.mem_stats().mem_evictions,
+            0,
+            "no thrash for a lost cause"
+        );
         // Still served, from disk, byte-identically.
         let (hit, tier) = cache.load_tiered(&spec).unwrap();
         assert_eq!(tier, TierHit::Disk);
@@ -904,7 +913,11 @@ mod tests {
         cache.quarantine(&dir, &ResultCache::key(&spec), "test corruption");
 
         assert_eq!(cache.quarantined(), 1);
-        assert_eq!(cache.mem_stats().mem_entries, 0, "key must leave the memory tier");
+        assert_eq!(
+            cache.mem_stats().mem_entries,
+            0,
+            "key must leave the memory tier"
+        );
         assert_eq!(cache.load(&spec), None, "no tier may still answer the key");
 
         // And the repaired key serves from both tiers again.
@@ -918,9 +931,15 @@ mod tests {
         let root = temp_root("mem-clone");
         let cache = ResultCache::with_memory_budget(&root, 1 << 20).unwrap();
         let clone = cache.clone();
-        clone.store(&ExperimentSpec::table1(5, 1, 7), &sample_artifact()).unwrap();
+        clone
+            .store(&ExperimentSpec::table1(5, 1, 7), &sample_artifact())
+            .unwrap();
         let (_, tier) = cache.load_tiered(&ExperimentSpec::table1(5, 1, 7)).unwrap();
-        assert_eq!(tier, TierHit::Memory, "clone's store must seed the shared tier");
+        assert_eq!(
+            tier,
+            TierHit::Memory,
+            "clone's store must seed the shared tier"
+        );
         assert_eq!(cache.mem_stats().mem_hits, 1);
         assert_eq!(clone.mem_stats().mem_hits, 1, "counters are shared too");
         let _ = fs::remove_dir_all(&root);
@@ -935,7 +954,10 @@ mod tests {
         let (_, tier) = cache.load_tiered(&spec).unwrap();
         assert_eq!(tier, TierHit::Disk);
         let stats = cache.mem_stats();
-        assert_eq!((stats.mem_hits, stats.disk_hits, stats.mem_bytes), (0, 1, 0));
+        assert_eq!(
+            (stats.mem_hits, stats.disk_hits, stats.mem_bytes),
+            (0, 1, 0)
+        );
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -944,13 +966,12 @@ mod tests {
         let root = temp_root("registered-counters");
         let registry = MetricsRegistry::new();
         let counters = CacheCounters::registered(&registry, "sfc_serve");
-        let cache =
-            ResultCache::with_observability(&root, 1 << 20, 1, counters).unwrap();
+        let cache = ResultCache::with_observability(&root, 1 << 20, 1, counters).unwrap();
         let spec = ExperimentSpec::table1(5, 1, 7);
         cache.store(&spec, &sample_artifact()).unwrap();
         let _ = cache.load(&spec); // memory hit
-        // The registry sees the increment with no copy step: the cache's
-        // counter handle IS the registered series.
+                                   // The registry sees the increment with no copy step: the cache's
+                                   // counter handle IS the registered series.
         let page = registry.render_prometheus();
         assert!(page.contains("sfc_serve_mem_hits_total 1"), "{page}");
         assert!(page.contains("sfc_serve_disk_hits_total 0"), "{page}");

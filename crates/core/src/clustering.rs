@@ -20,13 +20,7 @@ use sfc_curves::{Curve2d, CurveKind, CurveTable, Point2};
 
 /// Number of clusters (maximal consecutive index runs) the query rectangle
 /// `[x0, x0+w) × [y0, y0+h)` decomposes into under `curve` at `order`.
-pub fn clusters_in_query(
-    curve: &CurveTable,
-    x0: u32,
-    y0: u32,
-    w: u32,
-    h: u32,
-) -> u64 {
+pub fn clusters_in_query(curve: &CurveTable, x0: u32, y0: u32, w: u32, h: u32) -> u64 {
     assert!(w >= 1 && h >= 1);
     let side = Curve2d::side(curve) as u32;
     assert!(x0 + w <= side && y0 + h <= side, "query outside grid");
@@ -136,7 +130,10 @@ mod tests {
         let snake = average_clusters(CurveKind::Boustrophedon, 6, q);
         let z = average_clusters(CurveKind::ZCurve, 6, q);
         assert!(snake < z, "snake {snake:.3} should beat Z {z:.3}");
-        assert!(snake < 1.5 * hilbert, "snake {snake:.3} vs hilbert {hilbert:.3}");
+        assert!(
+            snake < 1.5 * hilbert,
+            "snake {snake:.3} vs hilbert {hilbert:.3}"
+        );
     }
 
     #[test]

@@ -233,7 +233,10 @@ mod tests {
         assert!(e.to_string().contains("power of four"));
         assert!(e.to_string().contains("48"));
 
-        let e = SfcError::RadiusExceedsGrid { radius: 70, side: 64 };
+        let e = SfcError::RadiusExceedsGrid {
+            radius: 70,
+            side: 64,
+        };
         assert!(e.to_string().contains("radius 70"));
 
         assert!(SfcError::EmptySamples.to_string().contains("no samples"));
@@ -258,7 +261,10 @@ mod tests {
 
         assert!(SfcError::ZeroRadius.to_string().contains("at least 1"));
 
-        let e = SfcError::OrderTooLarge { order: 20, max_order: 14 };
+        let e = SfcError::OrderTooLarge {
+            order: 20,
+            max_order: 14,
+        };
         let msg = e.to_string();
         assert!(msg.contains("20") && msg.contains("14"));
 

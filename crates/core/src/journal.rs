@@ -102,9 +102,7 @@ impl Journal {
                     if record != header {
                         return Err(SfcError::JournalMismatch {
                             path: path.display().to_string(),
-                            reason: format!(
-                                "header {record} does not match expected {header}"
-                            ),
+                            reason: format!("header {record} does not match expected {header}"),
                         });
                     }
                 } else if let Some(outcome) = parse_record(&record) {
@@ -233,7 +231,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let mut j = Journal::open(&path, "demo", &fingerprint()).unwrap();
-            j.record("a/t0", CellOutcome::Ok(vec![1.5, 0.1, -0.0])).unwrap();
+            j.record("a/t0", CellOutcome::Ok(vec![1.5, 0.1, -0.0]))
+                .unwrap();
             j.record(
                 "a/t1",
                 CellOutcome::Failed {
@@ -245,7 +244,10 @@ mod tests {
         }
         let j = Journal::open(&path, "demo", &fingerprint()).unwrap();
         assert_eq!(j.len(), 2);
-        assert_eq!(j.lookup("a/t0"), Some(&CellOutcome::Ok(vec![1.5, 0.1, -0.0])));
+        assert_eq!(
+            j.lookup("a/t0"),
+            Some(&CellOutcome::Ok(vec![1.5, 0.1, -0.0]))
+        );
         match j.lookup("a/t1").unwrap() {
             CellOutcome::Failed { error, attempts } => {
                 assert_eq!(error, "index out of bounds");

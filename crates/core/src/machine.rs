@@ -65,7 +65,10 @@ impl Machine {
         let (node_of_rank, used_curve): (Vec<u64>, _) = match topo.grid_side() {
             Some(side) => {
                 let map = SfcRankMap::for_side(processor_curve, side);
-                ((0..p).map(|r| map.node_of(r)).collect(), Some(processor_curve))
+                (
+                    (0..p).map(|r| map.node_of(r)).collect(),
+                    Some(processor_curve),
+                )
             }
             None => ((0..p).collect(), None),
         };
@@ -208,7 +211,11 @@ mod tests {
 
     #[test]
     fn distance_symmetry_spot_check() {
-        for kind in [TopologyKind::Mesh, TopologyKind::Torus, TopologyKind::Quadtree] {
+        for kind in [
+            TopologyKind::Mesh,
+            TopologyKind::Torus,
+            TopologyKind::Quadtree,
+        ] {
             let m = Machine::new(kind, 256, CurveKind::Gray);
             for (a, b) in [(0u32, 255u32), (17, 200), (3, 3)] {
                 assert_eq!(m.distance(a, b), m.distance(b, a));

@@ -105,10 +105,8 @@ impl Machine3 {
     /// Hop distance between two ranks' processors.
     #[inline]
     pub fn distance(&self, a: u32, b: u32) -> u64 {
-        self.topo.distance(
-            self.node_of_rank[a as usize],
-            self.node_of_rank[b as usize],
-        )
+        self.topo
+            .distance(self.node_of_rank[a as usize], self.node_of_rank[b as usize])
     }
 }
 
@@ -123,16 +121,10 @@ pub struct Assignment3 {
 impl Assignment3 {
     /// Order `particles` (distinct cells of a `2^grid_order` cube) by
     /// `curve` and split them over `num_ranks` processors.
-    pub fn new(
-        particles: &[Point3],
-        grid_order: u32,
-        curve: Curve3dKind,
-        num_ranks: u64,
-    ) -> Self {
+    pub fn new(particles: &[Point3], grid_order: u32, curve: Curve3dKind, num_ranks: u64) -> Self {
         assert!(num_ranks >= 1 && !particles.is_empty());
         let c = curve.curve(grid_order);
-        let mut sorted: Vec<(u64, Point3)> =
-            particles.iter().map(|&p| (c.index(p), p)).collect();
+        let mut sorted: Vec<(u64, Point3)> = particles.iter().map(|&p| (c.index(p), p)).collect();
         sorted.sort_unstable_by_key(|&(idx, _)| idx);
         let chunk = sorted.len().div_ceil(num_ranks as usize);
         let mut cell_rank = CellMap::with_capacity(sorted.len());
@@ -290,10 +282,7 @@ mod tests {
     use sfc_particles::sampler3d::sample3d;
     use sfc_particles::Distribution;
 
-    fn setup(
-        curve: Curve3dKind,
-        topo: Topology3Kind,
-    ) -> (Assignment3, Machine3) {
+    fn setup(curve: Curve3dKind, topo: Topology3Kind) -> (Assignment3, Machine3) {
         let particles = sample3d(Distribution::uniform(), 5, 2000, 77);
         let asg = Assignment3::new(&particles, 5, curve, 512);
         let machine = Machine3::new(topo, 512, curve);

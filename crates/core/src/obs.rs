@@ -365,7 +365,12 @@ impl MetricsRegistry {
         let mut out = String::new();
         for family in self.snapshot() {
             let _ = writeln!(out, "# HELP {} {}", family.name, escape_help(&family.help));
-            let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind.prometheus_name());
+            let _ = writeln!(
+                out,
+                "# TYPE {} {}",
+                family.name,
+                family.kind.prometheus_name()
+            );
             for series in &family.series {
                 let labels = render_labels(&series.labels);
                 match &series.value {
@@ -432,7 +437,9 @@ fn escape_help(help: &str) -> String {
 }
 
 fn escape_label_value(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+    v.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 fn render_labels(labels: &[(String, String)]) -> String {
@@ -486,13 +493,7 @@ impl TraceSink {
     /// Record one span: a named unit of work attributed to `request_id`,
     /// with its duration and any extra fields. Writes (and flushes) one
     /// JSON line; a disabled sink does nothing.
-    pub fn span(
-        &self,
-        name: &str,
-        request_id: &str,
-        duration: Duration,
-        fields: &[(&str, Value)],
-    ) {
+    pub fn span(&self, name: &str, request_id: &str, duration: Duration, fields: &[(&str, Value)]) {
         self.write_record("span", name, request_id, Some(duration), fields);
     }
 
@@ -621,9 +622,18 @@ mod tests {
         h.record_micros(100); // [64, 128)
         let page = registry.render_prometheus();
         assert!(page.contains("# TYPE lat_us histogram\n"));
-        assert!(page.contains("lat_us_bucket{op=\"run\",le=\"4\"} 2\n"), "{page}");
-        assert!(page.contains("lat_us_bucket{op=\"run\",le=\"128\"} 3\n"), "{page}");
-        assert!(page.contains("lat_us_bucket{op=\"run\",le=\"+Inf\"} 3\n"), "{page}");
+        assert!(
+            page.contains("lat_us_bucket{op=\"run\",le=\"4\"} 2\n"),
+            "{page}"
+        );
+        assert!(
+            page.contains("lat_us_bucket{op=\"run\",le=\"128\"} 3\n"),
+            "{page}"
+        );
+        assert!(
+            page.contains("lat_us_bucket{op=\"run\",le=\"+Inf\"} 3\n"),
+            "{page}"
+        );
         assert!(page.contains("lat_us_sum{op=\"run\"} 106\n"), "{page}");
         assert!(page.contains("lat_us_count{op=\"run\"} 3\n"), "{page}");
     }

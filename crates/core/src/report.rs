@@ -104,10 +104,7 @@ impl Table {
             out.push_str(&format!("### {}\n\n", self.title));
         }
         out.push_str(&format!("| {} |\n", self.header.join(" | ")));
-        out.push_str(&format!(
-            "|{}\n",
-            " --- |".repeat(self.header.len())
-        ));
+        out.push_str(&format!("|{}\n", " --- |".repeat(self.header.len())));
         for row in &self.rows {
             out.push_str(&format!("| {} |\n", row.join(" | ")));
         }

@@ -72,7 +72,10 @@ impl ChaosInjector {
 
     fn should_panic(&self, cell: &str, attempt: u32) -> bool {
         (self.persistent || attempt == 0)
-            && self.patterns.iter().any(|p| !p.is_empty() && cell.contains(p))
+            && self
+                .patterns
+                .iter()
+                .any(|p| !p.is_empty() && cell.contains(p))
     }
 }
 
@@ -169,7 +172,9 @@ impl<'s> BatchCell<'s> {
 
 impl std::fmt::Debug for BatchCell<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchCell").field("name", &self.name).finish()
+        f.debug_struct("BatchCell")
+            .field("name", &self.name)
+            .finish()
     }
 }
 
@@ -661,9 +666,15 @@ mod tests {
             calls.fetch_add(1, Ordering::SeqCst);
             Err(SfcError::ZeroRadius)
         })]);
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "a typed error is not retried");
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            1,
+            "a typed error is not retried"
+        );
         match &out[0] {
-            CellResult::Failed(SfcError::CellFailed { error, attempts, .. }) => {
+            CellResult::Failed(SfcError::CellFailed {
+                error, attempts, ..
+            }) => {
                 assert_eq!(error, &SfcError::ZeroRadius.to_string());
                 assert_eq!(*attempts, 1);
             }
@@ -696,7 +707,9 @@ mod tests {
             SweepRunner::new("sweep", &Value::Null, opts).unwrap()
         };
         let mut r = journaled();
-        let _ = r.run_cells(vec![BatchCell::try_new("zero", || Err(SfcError::ZeroRadius))]);
+        let _ = r.run_cells(vec![BatchCell::try_new("zero", || {
+            Err(SfcError::ZeroRadius)
+        })]);
         drop(r);
 
         let calls = AtomicU32::new(0);
@@ -722,9 +735,15 @@ mod tests {
         let mut opts = RunnerOptions::new();
         opts.chaos = Some(ChaosInjector::new(&["t1".into()], false));
         let mut r = SweepRunner::new("chaos", &Value::Null, opts).unwrap();
-        assert_eq!(r.run_cell("x/t0", || vec![1.0]), CellResult::Computed(vec![1.0]));
+        assert_eq!(
+            r.run_cell("x/t0", || vec![1.0]),
+            CellResult::Computed(vec![1.0])
+        );
         // Sabotaged on attempt 0, clean on attempt 1.
-        assert_eq!(r.run_cell("x/t1", || vec![2.0]), CellResult::Computed(vec![2.0]));
+        assert_eq!(
+            r.run_cell("x/t1", || vec![2.0]),
+            CellResult::Computed(vec![2.0])
+        );
         assert!(r.finish().complete());
     }
 
@@ -733,8 +752,14 @@ mod tests {
         let mut opts = RunnerOptions::new();
         opts.chaos = Some(ChaosInjector::new(&["t1".into()], true));
         let mut r = SweepRunner::new("chaos", &Value::Null, opts).unwrap();
-        assert!(matches!(r.run_cell("x/t1", || vec![2.0]), CellResult::Failed(_)));
-        assert_eq!(r.run_cell("x/t2", || vec![3.0]), CellResult::Computed(vec![3.0]));
+        assert!(matches!(
+            r.run_cell("x/t1", || vec![2.0]),
+            CellResult::Failed(_)
+        ));
+        assert_eq!(
+            r.run_cell("x/t2", || vec![3.0]),
+            CellResult::Computed(vec![3.0])
+        );
         let summary = r.finish();
         assert_eq!(summary.failed.len(), 1);
         assert_eq!(summary.failed[0].error, "chaos injection");
@@ -763,7 +788,10 @@ mod tests {
         let mut opts = RunnerOptions::new();
         opts.journal = Some(path.clone());
         let mut r = SweepRunner::new("sweep", &fingerprint, opts).unwrap();
-        assert!(matches!(r.run_cell("c", || values.clone()), CellResult::Computed(_)));
+        assert!(matches!(
+            r.run_cell("c", || values.clone()),
+            CellResult::Computed(_)
+        ));
         drop(r);
 
         let mut opts = RunnerOptions::new();
@@ -817,7 +845,11 @@ mod tests {
             let results = r.run_cells(cells);
             assert_eq!(results.len(), 20);
             for (i, result) in results.iter().enumerate() {
-                assert_eq!(result, &CellResult::Computed(vec![i as f64 * 1.5]), "cell {i}");
+                assert_eq!(
+                    result,
+                    &CellResult::Computed(vec![i as f64 * 1.5]),
+                    "cell {i}"
+                );
             }
             let summary = r.finish();
             assert_eq!(summary.computed, 20);
@@ -892,8 +924,14 @@ mod tests {
         // bound, so the cell still returns its values.
         opts.journal_fail_after = Some(1);
         let mut r = SweepRunner::new("degraded", &Value::Null, opts).unwrap();
-        assert!(matches!(r.run_cell("a", || vec![1.0]), CellResult::Computed(_)));
-        assert!(matches!(r.run_cell("b", || vec![2.0]), CellResult::Computed(_)));
+        assert!(matches!(
+            r.run_cell("a", || vec![1.0]),
+            CellResult::Computed(_)
+        ));
+        assert!(matches!(
+            r.run_cell("b", || vec![2.0]),
+            CellResult::Computed(_)
+        ));
         let summary = r.finish();
         assert!(summary.journal_degraded);
         assert!(!summary.complete());
@@ -965,14 +1003,20 @@ mod tests {
         let mut opts = RunnerOptions::new();
         opts.journal = Some(path.clone());
         let mut r = SweepRunner::new("timed", &Value::Null, opts).unwrap();
-        assert!(matches!(r.run_cell("ok", || vec![1.0]), CellResult::Computed(_)));
+        assert!(matches!(
+            r.run_cell("ok", || vec![1.0]),
+            CellResult::Computed(_)
+        ));
         let _ = r.run_cell("bad", || panic!("boom"));
         assert_eq!(r.finish().timings.len(), 1);
 
         let mut opts = RunnerOptions::new();
         opts.journal = Some(path.clone());
         let mut r = SweepRunner::new("timed", &Value::Null, opts).unwrap();
-        assert!(matches!(r.run_cell("ok", || vec![1.0]), CellResult::Replayed(_)));
+        assert!(matches!(
+            r.run_cell("ok", || vec![1.0]),
+            CellResult::Replayed(_)
+        ));
         let summary = r.finish();
         assert_eq!(summary.replayed, 1);
         assert!(summary.timings.is_empty());

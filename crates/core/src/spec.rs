@@ -982,7 +982,8 @@ mod tests {
             "processor_curves"
         );
         assert_eq!(
-            unlabelled(ArtifactKind::Figure7, &|s| s.particle_curves = swapped.clone()),
+            unlabelled(ArtifactKind::Figure7, &|s| s.particle_curves =
+                swapped.clone()),
             "particle_curves"
         );
         assert_eq!(
@@ -1058,9 +1059,7 @@ mod tests {
         assert!(ExperimentSpec::from_json_str("[]").is_err());
         assert!(ExperimentSpec::from_json_str("{}").is_err());
         assert!(ExperimentSpec::from_json_str(r#"{"artifact": "table9"}"#).is_err());
-        assert!(
-            ExperimentSpec::from_json_str(r#"{"artifact": "table1", "scale": -1}"#).is_err()
-        );
+        assert!(ExperimentSpec::from_json_str(r#"{"artifact": "table1", "scale": -1}"#).is_err());
         assert!(ExperimentSpec::from_json_str(
             r#"{"artifact": "table1", "particle_curves": ["klein"]}"#
         )

@@ -187,13 +187,23 @@ mod tests {
     #[test]
     fn recorder_accumulates_repeated_phases_in_first_use_order() {
         start_recording();
-        phase("sample", || std::thread::sleep(std::time::Duration::from_millis(2)));
-        phase("nfi", || std::thread::sleep(std::time::Duration::from_millis(1)));
-        phase("sample", || std::thread::sleep(std::time::Duration::from_millis(2)));
+        phase("sample", || {
+            std::thread::sleep(std::time::Duration::from_millis(2))
+        });
+        phase("nfi", || {
+            std::thread::sleep(std::time::Duration::from_millis(1))
+        });
+        phase("sample", || {
+            std::thread::sleep(std::time::Duration::from_millis(2))
+        });
         let phases = take_recording();
         let names: Vec<&str> = phases.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["sample", "nfi"]);
-        assert!(phases[0].1 >= 4.0, "accumulated sample time {}", phases[0].1);
+        assert!(
+            phases[0].1 >= 4.0,
+            "accumulated sample time {}",
+            phases[0].1
+        );
         assert!(phases[1].1 >= 1.0);
         // The recorder is consumed.
         assert!(take_recording().is_empty());

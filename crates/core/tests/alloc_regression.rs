@@ -132,5 +132,8 @@ fn nfi_row_scan_allocates_nothing() {
     let expected = nfi_acd(&asg, &machine, 2, Norm::Chebyshev).unwrap();
     let (allocs, got) = allocations_during(|| nfi_acd(&asg, &machine, 2, Norm::Chebyshev).unwrap());
     assert_eq!(got, expected);
-    assert_eq!(allocs, 0, "the dense row-segment NFI scan must not allocate");
+    assert_eq!(
+        allocs, 0,
+        "the dense row-segment NFI scan must not allocate"
+    );
 }

@@ -326,8 +326,7 @@ mod tests {
             for idx in 0..c.len() {
                 let p = c.point(idx);
                 assert_eq!(c.index(p), idx, "{}", c.name());
-                let flat =
-                    ((p.z as usize * 4) + p.y as usize) * 4 + p.x as usize;
+                let flat = ((p.z as usize * 4) + p.y as usize) * 4 + p.x as usize;
                 assert!(!seen[flat]);
                 seen[flat] = true;
             }

@@ -118,7 +118,12 @@ mod tests {
     fn consecutive_gray_codes_differ_in_one_bit() {
         for i in 0..4096u64 {
             let diff = gray_encode(i) ^ gray_encode(i + 1);
-            assert_eq!(diff.count_ones(), 1, "codes {i} and {} differ in more than one bit", i + 1);
+            assert_eq!(
+                diff.count_ones(),
+                1,
+                "codes {i} and {} differ in more than one bit",
+                i + 1
+            );
         }
     }
 

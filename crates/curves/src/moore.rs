@@ -28,10 +28,10 @@ pub fn moore_index(order: u32, p: Point2) -> u64 {
     let h = 1u32 << (order - 1);
     let (x, y) = (p.x, p.y);
     let (rank, lx, ly) = match ((x >= h) as u8, (y >= h) as u8) {
-        (0, 0) => (0u64, x, y),         // LL, CCW copy
-        (0, 1) => (1, x, y - h),        // UL, CCW copy
-        (1, 1) => (2, x - h, y - h),    // UR, CW copy
-        _ => (3, x - h, y),             // LR, CW copy
+        (0, 0) => (0u64, x, y),      // LL, CCW copy
+        (0, 1) => (1, x, y - h),     // UL, CCW copy
+        (1, 1) => (2, x - h, y - h), // UR, CW copy
+        _ => (3, x - h, y),          // LR, CW copy
     };
     // Invert the quadrant transform to recover Hilbert-space coordinates.
     let (hx, hy) = if rank < 2 {

@@ -98,7 +98,11 @@ impl Curve2d for ZCurve {
 
     #[inline]
     fn index(&self, p: Point2) -> u64 {
-        debug_assert!(p.in_grid(self.side()), "{p} outside grid of order {}", self.order);
+        debug_assert!(
+            p.in_grid(self.side()),
+            "{p} outside grid of order {}",
+            self.order
+        );
         morton_index(self.order, p)
     }
 

@@ -19,7 +19,10 @@ use crate::{CurveKind, Point2};
 /// transposed and the lower-right copy anti-transposed so entry and exit
 /// points align.
 pub fn hilbert_sequence(order: u32) -> Vec<Point2> {
-    assert!((1..=12).contains(&order), "recursive oracle limited to order <= 12");
+    assert!(
+        (1..=12).contains(&order),
+        "recursive oracle limited to order <= 12"
+    );
     fn go(k: u32) -> Vec<Point2> {
         if k == 0 {
             return vec![Point2::new(0, 0)];
@@ -47,7 +50,10 @@ pub fn hilbert_sequence(order: u32) -> Vec<Point2> {
 /// copies of `Z_{k-1}` visited lower-left, lower-right, upper-left,
 /// upper-right.
 pub fn z_sequence(order: u32) -> Vec<Point2> {
-    assert!((1..=12).contains(&order), "recursive oracle limited to order <= 12");
+    assert!(
+        (1..=12).contains(&order),
+        "recursive oracle limited to order <= 12"
+    );
     fn go(k: u32) -> Vec<Point2> {
         if k == 0 {
             return vec![Point2::new(0, 0)];
@@ -71,7 +77,10 @@ pub fn z_sequence(order: u32) -> Vec<Point2> {
 /// `gray(M-1-j) = gray(j) ⊕ M/2`. This reversal is what the paper describes
 /// as the 180° rotation of the upper copies.
 pub fn gray_sequence(order: u32) -> Vec<Point2> {
-    assert!((1..=12).contains(&order), "recursive oracle limited to order <= 12");
+    assert!(
+        (1..=12).contains(&order),
+        "recursive oracle limited to order <= 12"
+    );
     fn go(k: u32) -> Vec<Point2> {
         if k == 0 {
             return vec![Point2::new(0, 0)];

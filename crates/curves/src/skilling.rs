@@ -200,11 +200,7 @@ mod tests {
         let mut prev = index_to_axes(0, bits, 2);
         for idx in 1..len {
             let cur = index_to_axes(idx, bits, 2);
-            let d: u32 = prev
-                .iter()
-                .zip(&cur)
-                .map(|(a, b)| a.abs_diff(*b))
-                .sum();
+            let d: u32 = prev.iter().zip(&cur).map(|(a, b)| a.abs_diff(*b)).sum();
             assert_eq!(d, 1, "index {idx}: {prev:?} -> {cur:?}");
             prev = cur;
         }
@@ -217,11 +213,7 @@ mod tests {
         let mut prev = index_to_axes(0, bits, 3);
         for idx in 1..len {
             let cur = index_to_axes(idx, bits, 3);
-            let d: u32 = prev
-                .iter()
-                .zip(&cur)
-                .map(|(a, b)| a.abs_diff(*b))
-                .sum();
+            let d: u32 = prev.iter().zip(&cur).map(|(a, b)| a.abs_diff(*b)).sum();
             assert_eq!(d, 1, "index {idx}: {prev:?} -> {cur:?}");
             prev = cur;
         }
@@ -234,11 +226,7 @@ mod tests {
         let mut prev = index_to_axes(0, bits, 4);
         for idx in 1..len {
             let cur = index_to_axes(idx, bits, 4);
-            let d: u32 = prev
-                .iter()
-                .zip(&cur)
-                .map(|(a, b)| a.abs_diff(*b))
-                .sum();
+            let d: u32 = prev.iter().zip(&cur).map(|(a, b)| a.abs_diff(*b)).sum();
             assert_eq!(d, 1);
             prev = cur;
         }

@@ -24,9 +24,7 @@
 
 use crate::binomial::Binomials;
 use crate::complex::{Complex, ONE};
-use crate::operators::{
-    eval_local, eval_multipole, l2l, m2l, m2m, p2m, p2p, Local, Multipole,
-};
+use crate::operators::{eval_local, eval_multipole, l2l, m2l, m2m, p2m, p2p, Local, Multipole};
 use crate::Source;
 use sfc_quadtree::balance::LinearQuadtree;
 use sfc_quadtree::{interaction_list, regions_touch, Cell};
@@ -76,11 +74,8 @@ impl AdaptiveFmm {
 
         // Upward: P2M at leaves, M2M into ancestors (nodes are sorted by
         // level; walk finest-to-coarsest).
-        let mut multipoles: Vec<Multipole> = tree
-            .center
-            .iter()
-            .map(|&c| Multipole::zero(c, p))
-            .collect();
+        let mut multipoles: Vec<Multipole> =
+            tree.center.iter().map(|&c| Multipole::zero(c, p)).collect();
         for idx in (0..n_nodes).rev() {
             let cell = tree.nodes[idx];
             if let Some(&leaf) = tree.leaf_of_cell.get(&cell) {
@@ -99,11 +94,7 @@ impl AdaptiveFmm {
         }
 
         // Downward: locals in coarse-to-fine order.
-        let mut locals: Vec<Local> = tree
-            .center
-            .iter()
-            .map(|&c| Local::zero(c, p))
-            .collect();
+        let mut locals: Vec<Local> = tree.center.iter().map(|&c| Local::zero(c, p)).collect();
         for idx in 0..n_nodes {
             let cell = tree.nodes[idx];
             // L2L from the parent.
@@ -231,7 +222,14 @@ impl AdaptiveTree {
             })
             .collect();
         let mut seeds = Vec::new();
-        split(Cell::ROOT, &(0..sources.len()).collect::<Vec<_>>(), &cells, max_per_leaf, max_level, &mut seeds);
+        split(
+            Cell::ROOT,
+            &(0..sources.len()).collect::<Vec<_>>(),
+            &cells,
+            max_per_leaf,
+            max_level,
+            &mut seeds,
+        );
 
         // 2. Complete + balance.
         let mut linear = LinearQuadtree::from_seeds(max_level, &seeds);

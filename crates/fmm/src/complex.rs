@@ -196,7 +196,10 @@ mod tests {
         let e = Complex::new(std::f64::consts::E, 0.0);
         assert!(close(e.ln(), ONE));
         let i = Complex::new(0.0, 1.0);
-        assert!(close(i.ln(), Complex::new(0.0, std::f64::consts::FRAC_PI_2)));
+        assert!(close(
+            i.ln(),
+            Complex::new(0.0, std::f64::consts::FRAC_PI_2)
+        ));
         // Re(ln z) = ln |z| — the identity the potential evaluation uses.
         let z = Complex::new(-2.5, 1.75);
         assert!((z.ln().re - z.abs().ln()).abs() < 1e-12);

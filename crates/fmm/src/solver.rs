@@ -20,8 +20,8 @@ use crate::binomial::Binomials;
 use crate::operators::{
     eval_local, eval_local_grad, l2l, m2l, m2m, p2m, p2p, p2p_grad, Local, Multipole,
 };
-use crate::Complex;
 use crate::tree::FmmTree;
+use crate::Complex;
 use crate::Source;
 use rayon::prelude::*;
 use sfc_quadtree::interaction_list;

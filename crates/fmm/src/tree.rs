@@ -142,8 +142,7 @@ impl FmmTree {
     }
 
     fn make_level(level: u32, codes: Vec<u64>, range: Vec<Range<usize>>) -> Level {
-        let index: HashMap<u64, usize> =
-            codes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
+        let index: HashMap<u64, usize> = codes.iter().enumerate().map(|(i, &c)| (c, i)).collect();
         let center = codes
             .iter()
             .map(|&c| {

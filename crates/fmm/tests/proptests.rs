@@ -5,24 +5,21 @@ use proptest::prelude::*;
 use sfc_fmm::{direct, Complex, Fmm, Source};
 
 fn sources_strategy(max_n: usize) -> impl Strategy<Value = Vec<Source>> {
-    prop::collection::vec(
-        (0.001f64..0.999, 0.001f64..0.999, -2.0f64..2.0),
-        2..max_n,
-    )
-    .prop_map(|raw| {
-        // Deduplicate near-coincident points to keep the direct sum finite.
-        let mut out: Vec<Source> = Vec::new();
-        'outer: for (x, y, q) in raw {
-            for s in &out {
-                if (s.pos - Complex::new(x, y)).abs() < 1e-9 {
-                    continue 'outer;
+    prop::collection::vec((0.001f64..0.999, 0.001f64..0.999, -2.0f64..2.0), 2..max_n)
+        .prop_map(|raw| {
+            // Deduplicate near-coincident points to keep the direct sum finite.
+            let mut out: Vec<Source> = Vec::new();
+            'outer: for (x, y, q) in raw {
+                for s in &out {
+                    if (s.pos - Complex::new(x, y)).abs() < 1e-9 {
+                        continue 'outer;
+                    }
                 }
+                out.push(Source::new(x, y, q));
             }
-            out.push(Source::new(x, y, q));
-        }
-        out
-    })
-    .prop_filter("need at least 2 distinct sources", |v| v.len() >= 2)
+            out
+        })
+        .prop_filter("need at least 2 distinct sources", |v| v.len() >= 2)
 }
 
 proptest! {

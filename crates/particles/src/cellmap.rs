@@ -216,7 +216,9 @@ mod tests {
         // Deterministic pseudo-random keys.
         let mut state = 0x1234_5678_u64;
         for i in 0..2000u32 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let key = state % 1500; // force some duplicates
             m.insert_min(key, i);
             let e = reference.entry(key).or_insert(i);

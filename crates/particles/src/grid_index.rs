@@ -39,7 +39,10 @@ impl GridIndex {
     /// keeps its sparse index in that case.
     pub fn new(grid_order: u32) -> Option<GridIndex> {
         let side = 1u64 << grid_order;
-        if side.checked_mul(side).is_none_or(|cells| cells > MAX_GRID_CELLS) {
+        if side
+            .checked_mul(side)
+            .is_none_or(|cells| cells > MAX_GRID_CELLS)
+        {
             return None;
         }
         let cells = (side * side) as usize;
@@ -61,7 +64,8 @@ impl GridIndex {
         assert_ne!(rank, Self::EMPTY, "u32::MAX is the reserved empty sentinel");
         assert!(
             (x as usize) < self.side && (y as usize) < self.side,
-            "cell ({x}, {y}) outside {0}x{0} grid", self.side
+            "cell ({x}, {y}) outside {0}x{0} grid",
+            self.side
         );
         let slot = &mut self.ranks[y as usize * self.side + x as usize];
         assert_eq!(*slot, Self::EMPTY, "cell ({x}, {y}) already occupied");

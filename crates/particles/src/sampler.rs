@@ -40,7 +40,10 @@ pub fn sample(dist: Distribution, order: u32, n: usize, seed: u64) -> Vec<Point2
 /// Like [`sample`] but drawing from a caller-provided RNG, so multiple
 /// samples can share one stream.
 pub fn sample_with(dist: Distribution, order: u32, n: usize, rng: &mut StdRng) -> Vec<Point2> {
-    assert!((1..=31).contains(&order), "grid order out of range: {order}");
+    assert!(
+        (1..=31).contains(&order),
+        "grid order out of range: {order}"
+    );
     let side = 1u64 << order;
     let cells = (side * side) as f64;
     assert!(
@@ -101,7 +104,12 @@ impl Sampler {
 
     /// The deterministic sample for trial `t`.
     pub fn trial(&self, t: u64) -> Vec<Point2> {
-        sample(self.dist, self.order, self.n, self.base_seed.wrapping_add(t))
+        sample(
+            self.dist,
+            self.order,
+            self.n,
+            self.base_seed.wrapping_add(t),
+        )
     }
 }
 

@@ -15,7 +15,10 @@ use std::collections::HashSet;
 /// deterministically for a given `seed`. The distribution's shape parameter
 /// has the same meaning as in 2-D (fraction of the cube side).
 pub fn sample3d(dist: Distribution, order: u32, n: usize, seed: u64) -> Vec<Point3> {
-    assert!((1..=20).contains(&order), "cube order out of range: {order}");
+    assert!(
+        (1..=20).contains(&order),
+        "cube order out of range: {order}"
+    );
     let side = 1u64 << order;
     let cells = (side * side * side) as f64;
     assert!(
@@ -118,7 +121,10 @@ mod tests {
     #[test]
     fn exponential_skews_to_low_octant() {
         let pts = sample3d(DistributionKind::Exponential.default_params(), 6, 2000, 4);
-        let low = pts.iter().filter(|p| p.x < 32 && p.y < 32 && p.z < 32).count();
+        let low = pts
+            .iter()
+            .filter(|p| p.x < 32 && p.y < 32 && p.z < 32)
+            .count();
         assert!(low as f64 > 0.85 * pts.len() as f64, "{low}");
     }
 

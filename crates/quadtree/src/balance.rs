@@ -252,16 +252,15 @@ mod tests {
 
     #[test]
     fn seeds_at_mixed_levels() {
-        let seeds = vec![
-            Cell::new(4, 0, 0),
-            Cell::new(2, 3, 3),
-            Cell::new(6, 40, 17),
-        ];
+        let seeds = vec![Cell::new(4, 0, 0), Cell::new(2, 3, 3), Cell::new(6, 40, 17)];
         let mut t = LinearQuadtree::from_seeds(6, &seeds);
         assert!(t.is_complete());
         for s in &seeds {
             let covering = t.leaf_covering(*s).unwrap();
-            assert!(covering.level >= s.level, "{s} covered by coarser {covering}");
+            assert!(
+                covering.level >= s.level,
+                "{s} covered by coarser {covering}"
+            );
         }
         t.balance();
         assert!(t.is_complete() && t.is_balanced());

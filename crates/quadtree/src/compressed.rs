@@ -100,10 +100,7 @@ impl CompressedQuadtree {
     fn build_range(&mut self, range: std::ops::Range<usize>, parent: Option<usize>) -> usize {
         debug_assert!(!range.is_empty());
         let lo = morton::encode(self.points[range.start].x, self.points[range.start].y);
-        let hi = morton::encode(
-            self.points[range.end - 1].x,
-            self.points[range.end - 1].y,
-        );
+        let hi = morton::encode(self.points[range.end - 1].x, self.points[range.end - 1].y);
         let cell = self.enclosing_cell(lo, hi);
         let node_idx = self.nodes.len();
         self.nodes.push(Node {
@@ -309,7 +306,12 @@ mod tests {
 
     #[test]
     fn random_trees_maintain_invariants() {
-        for (n, order, seed) in [(10usize, 4u32, 1u64), (100, 6, 2), (1000, 8, 3), (500, 10, 4)] {
+        for (n, order, seed) in [
+            (10usize, 4u32, 1u64),
+            (100, 6, 2),
+            (1000, 8, 3),
+            (500, 10, 4),
+        ] {
             let pts = random_points(n, order, seed);
             let tree = CompressedQuadtree::build(order, &pts);
             check_invariants(&tree);

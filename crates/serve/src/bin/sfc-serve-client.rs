@@ -77,8 +77,7 @@ struct Flags {
 /// either shorthand run fields (`{"artifact":"table1","scale":4}`) or a
 /// full canonical spec as emitted by `sfc-bench --emit-specs`.
 fn items_from_file(path: &str) -> Result<Vec<Value>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let mut items = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -543,7 +542,10 @@ mod tests {
         doc.insert("stats", future.to_json());
         let line = serde_json::to_string(&Value::Object(doc)).unwrap();
         let warning = schema_drift_warning(&line).expect("version bump warns");
-        assert!(warning.contains(&format!("v{}", SCHEMA_VERSION + 1)), "{warning}");
+        assert!(
+            warning.contains(&format!("v{}", SCHEMA_VERSION + 1)),
+            "{warning}"
+        );
 
         // A body that no longer parses (renamed field) warns too.
         let mut body = Map::new();

@@ -499,7 +499,9 @@ fn serve_socket(
             // Raced another wakeup (or poll was spurious): just go around.
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
             Err(e) => {
-                if let Some(suppressed) = limiter.should_log(&format!("{:?}", e.kind()), Instant::now()) {
+                if let Some(suppressed) =
+                    limiter.should_log(&format!("{:?}", e.kind()), Instant::now())
+                {
                     if suppressed > 0 {
                         eprintln!(
                             "# sfc-serve: accept failed: {e} ({suppressed} similar suppressed in the last {}s)",
@@ -596,7 +598,9 @@ fn serve_connection(
             drop(active);
             return;
         }
-        let write_failed = writeln!(writer, "{text}").and_then(|()| writer.flush()).is_err();
+        let write_failed = writeln!(writer, "{text}")
+            .and_then(|()| writer.flush())
+            .is_err();
         drop(active);
         if write_failed {
             return;

@@ -21,7 +21,9 @@ fn wait_while<'a, T>(
     pending: impl FnMut(&mut T) -> bool,
 ) -> MutexGuard<'a, T> {
     match deadline {
-        None => cond.wait_while(guard, pending).unwrap_or_else(PoisonError::into_inner),
+        None => cond
+            .wait_while(guard, pending)
+            .unwrap_or_else(PoisonError::into_inner),
         Some(d) => {
             let timeout = d.saturating_duration_since(Instant::now());
             cond.wait_timeout_while(guard, timeout, pending)
@@ -49,7 +51,10 @@ impl Slot {
     /// Wait for the leader's outcome, bounded by `deadline`; `None` means
     /// the deadline expired first.
     pub(crate) fn wait_deadline(&self, deadline: Option<Instant>) -> Option<RunOutcome> {
-        wait_while(&self.ready, lock_recover(&self.result), deadline, |r| r.is_none()).clone()
+        wait_while(&self.ready, lock_recover(&self.result), deadline, |r| {
+            r.is_none()
+        })
+        .clone()
     }
 }
 
@@ -65,10 +70,7 @@ pub(crate) enum RunOutcome {
     },
     /// The computation failed (panicked, or outlived its deadline); nothing
     /// was cached.
-    Failed {
-        kind: &'static str,
-        message: String,
-    },
+    Failed { kind: &'static str, message: String },
 }
 
 /// Why [`Inflight::admit`] refused: draining, or `max` computations are
@@ -132,7 +134,11 @@ impl Inflight {
         });
         slots.insert(key.to_string(), Arc::clone(&slot));
         let key = key.to_string();
-        Admission::Lead(Lead { inflight: self, key, slot })
+        Admission::Lead(Lead {
+            inflight: self,
+            key,
+            slot,
+        })
     }
 
     pub(crate) fn begin_drain(&self) {
@@ -166,7 +172,12 @@ impl Inflight {
         let busy = |slots: &mut HashMap<String, Arc<Slot>>| {
             !slots.is_empty() || self.active.load(Ordering::SeqCst) > 0
         };
-        let idle = !busy(&mut wait_while(&self.idle, lock_recover(&self.slots), deadline, busy));
+        let idle = !busy(&mut wait_while(
+            &self.idle,
+            lock_recover(&self.slots),
+            deadline,
+            busy,
+        ));
         self.idle_waiters.fetch_sub(1, Ordering::SeqCst);
         idle
     }

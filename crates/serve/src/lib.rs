@@ -129,7 +129,9 @@ use std::time::{Duration, Instant};
 /// in-flight table. All guarded state is simple bookkeeping that is valid
 /// at every instruction boundary, so the recovered guard is safe to use.
 fn lock_recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    mutex
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Compute the full artifact for `spec` exactly as its binary would: same
@@ -254,8 +256,7 @@ fn parse_run_fields(obj: &Map) -> Result<(Box<ExperimentSpec>, Format), String> 
             .get("artifact")
             .and_then(Value::as_str)
             .ok_or("missing `artifact` field")?;
-        let kind =
-            ArtifactKind::parse(name).ok_or_else(|| format!("unknown artifact `{name}`"))?;
+        let kind = ArtifactKind::parse(name).ok_or_else(|| format!("unknown artifact `{name}`"))?;
         let defaults = SweepArgs::default();
         let num = |key: &str, default: u64| -> Result<u64, String> {
             match obj.get(key) {
@@ -517,10 +518,7 @@ impl ServeMetrics {
                 "sfc_serve_mem_entries",
                 "Entries held by the in-memory cache tier.",
             ),
-            inflight: registry.gauge(
-                "sfc_serve_inflight",
-                "Computations currently in flight.",
-            ),
+            inflight: registry.gauge("sfc_serve_inflight", "Computations currently in flight."),
             active_requests: registry.gauge(
                 "sfc_serve_active_requests",
                 "Requests currently being handled.",
@@ -1174,7 +1172,10 @@ impl Server {
         rid: &str,
     ) -> RunOutcome {
         let n = self.computations_started.fetch_add(1, Ordering::SeqCst) + 1;
-        let chaos_panic = self.opts.chaos_panic.is_some_and(|k| k > 0 && n.is_multiple_of(k));
+        let chaos_panic = self
+            .opts
+            .chaos_panic
+            .is_some_and(|k| k > 0 && n.is_multiple_of(k));
         let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             if self.opts.chaos_compute_ms > 0 {
@@ -1211,8 +1212,9 @@ impl Server {
                     self.trace.event("late_result_discarded", rid, &[]);
                     return RunOutcome::Failed {
                         kind: error_kind::DEADLINE_EXCEEDED,
-                        message: "computation finished after the request deadline; result discarded"
-                            .to_string(),
+                        message:
+                            "computation finished after the request deadline; result discarded"
+                                .to_string(),
                     };
                 }
                 if complete {
@@ -1568,7 +1570,8 @@ mod tests {
     use super::*;
 
     fn tmpdir(name: &str) -> String {
-        let dir = std::env::temp_dir().join(format!("sfc-serve-test-{name}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("sfc-serve-test-{name}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir.to_string_lossy().into_owned()
     }
@@ -1625,7 +1628,9 @@ mod tests {
         let server = server("unrunnable", ServerOptions::default());
         let edited = |artifact: ArtifactKind, key: &str, value: Option<Value>| {
             let spec = ExperimentSpec::for_artifact(artifact, 5, 2, 3).canonical_json();
-            let Value::Object(mut obj) = spec else { unreachable!() };
+            let Value::Object(mut obj) = spec else {
+                unreachable!()
+            };
             match value {
                 Some(v) => obj.insert(key, v),
                 None => drop(obj.remove(key)),
@@ -1637,9 +1642,21 @@ mod tests {
         let list = |names: &[&str]| Some(Value::Array(names.iter().map(|n| n.to_json()).collect()));
         let counts = |ns: &[u64]| Some(ns.to_vec().to_json());
         for line in [
-            edited(ArtifactKind::Table1, "particle_curves", list(&["hilbert", "z"])),
-            edited(ArtifactKind::Figure7, "particle_curves", list(&["z", "hilbert"])),
-            edited(ArtifactKind::Table1, "processor_curves", list(&["hilbert", "z"])),
+            edited(
+                ArtifactKind::Table1,
+                "particle_curves",
+                list(&["hilbert", "z"]),
+            ),
+            edited(
+                ArtifactKind::Figure7,
+                "particle_curves",
+                list(&["z", "hilbert"]),
+            ),
+            edited(
+                ArtifactKind::Table1,
+                "processor_curves",
+                list(&["hilbert", "z"]),
+            ),
             edited(ArtifactKind::Table1, "processors", None),
             edited(ArtifactKind::Parametric, "topologies", list(&["Mesh"])),
             edited(ArtifactKind::Extensions, "topologies", list(&["Mesh"])),
@@ -1693,8 +1710,7 @@ mod tests {
                 std::thread::spawn(move || server.handle_line(&run_line(9)))
             })
             .collect();
-        let responses: Vec<Response> =
-            threads.into_iter().map(|t| t.join().unwrap()).collect();
+        let responses: Vec<Response> = threads.into_iter().map(|t| t.join().unwrap()).collect();
 
         let payloads: Vec<_> = responses
             .iter()
@@ -1774,7 +1790,10 @@ mod tests {
         // no cache entry, no in-flight slot, no quarantine debris.
         assert_eq!(server.inflight_len(), 0);
         let entries: Vec<_> = std::fs::read_dir(&cache_dir).unwrap().collect();
-        assert!(entries.is_empty(), "a panicked run must leave no cache state");
+        assert!(
+            entries.is_empty(),
+            "a panicked run must leave no cache state"
+        );
         let stats = server.handle_line(r#"{"op": "stats"}"#);
         let body = stats.doc.get("stats").unwrap();
         assert_eq!(body.get("panics"), Some(&(1u64).to_json()));
@@ -1816,7 +1835,11 @@ mod tests {
             assert_eq!(resp.doc.get("ok"), Some(&Value::Bool(false)));
             assert_eq!(kind_of(&resp), "compute_panic");
         }
-        assert_eq!(server.inflight_len(), 0, "the panicked slot must be cleared");
+        assert_eq!(
+            server.inflight_len(),
+            0,
+            "the panicked slot must be cleared"
+        );
 
         // An immediate re-request of the same spec computes cleanly
         // (computation 3) and matches a chaos-free server byte for byte.
@@ -1910,8 +1933,7 @@ mod tests {
                 })
             })
             .collect();
-        let responses: Vec<Response> =
-            threads.into_iter().map(|t| t.join().unwrap()).collect();
+        let responses: Vec<Response> = threads.into_iter().map(|t| t.join().unwrap()).collect();
         let ok = responses
             .iter()
             .filter(|r| r.doc.get("ok") == Some(&Value::Bool(true)))
@@ -1920,7 +1942,10 @@ mod tests {
             .iter()
             .filter(|r| kind_of(r) == "overloaded")
             .collect();
-        assert_eq!(ok, 1, "exactly one distinct spec may compute: {responses:?}");
+        assert_eq!(
+            ok, 1,
+            "exactly one distinct spec may compute: {responses:?}"
+        );
         assert_eq!(overloaded.len(), 2);
         for r in overloaded {
             let hint = r.doc.get("retry_after_ms").and_then(Value::as_u64);
@@ -2139,7 +2164,10 @@ mod tests {
     /// A `batch` line over table1-scale-9 cells distinguished by seed,
     /// exercising the shared-defaults + per-item-override merge.
     fn batch_line(seeds: &[u64]) -> String {
-        let items: Vec<String> = seeds.iter().map(|s| format!(r#"{{"seed": {s}}}"#)).collect();
+        let items: Vec<String> = seeds
+            .iter()
+            .map(|s| format!(r#"{{"seed": {s}}}"#))
+            .collect();
         format!(
             r#"{{"id": "b", "op": "batch", "defaults": {{"artifact": "table1", "scale": 9, "trials": 1, "format": "plain"}}, "items": [{}]}}"#,
             items.join(", ")
@@ -2280,7 +2308,13 @@ mod tests {
         assert_eq!(kind_of(&resp), error_kind::WARM_QUEUE_FULL);
         assert_eq!(resp.doc.get("queued"), Some(&(2u64).to_json()));
         assert_eq!(resp.doc.get("refused"), Some(&(2u64).to_json()));
-        assert!(resp.doc.get("retry_after_ms").and_then(Value::as_u64).unwrap() >= 250);
+        assert!(
+            resp.doc
+                .get("retry_after_ms")
+                .and_then(Value::as_u64)
+                .unwrap()
+                >= 250
+        );
         assert_eq!(server.warm_queue_len(), 2);
 
         let stats = server.handle_line(r#"{"op": "stats"}"#);
@@ -2354,7 +2388,11 @@ mod tests {
             assert!(Instant::now() < deadline, "re-warm never resolved as a hit");
             std::thread::sleep(Duration::from_millis(10));
         }
-        assert_eq!(warm_computed(&server), 1, "a cached spec must not recompute");
+        assert_eq!(
+            warm_computed(&server),
+            1,
+            "a cached spec must not recompute"
+        );
         server.begin_drain(); // stop the warmer thread
     }
 
@@ -2401,7 +2439,8 @@ mod tests {
                         let line = match rng.gen_range(0..8) {
                             0 => batch_line(&[s, 100 + rng.gen_range(0..4u64)]),
                             1 => {
-                                let spec = ExperimentSpec::for_artifact(ArtifactKind::Table1, 9, 1, s);
+                                let spec =
+                                    ExperimentSpec::for_artifact(ArtifactKind::Table1, 9, 1, s);
                                 lock_recover(&warmed).insert(ResultCache::key(&spec));
                                 warm_line(&[s])
                             }

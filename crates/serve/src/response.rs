@@ -408,8 +408,7 @@ mod tests {
         for limits in [false, true] {
             let health = sample_health(limits);
             let wire = serde_json::to_string(&health.to_json()).unwrap();
-            let parsed =
-                HealthResponse::from_json(&serde_json::from_str(&wire).unwrap()).unwrap();
+            let parsed = HealthResponse::from_json(&serde_json::from_str(&wire).unwrap()).unwrap();
             assert_eq!(parsed, health);
             assert_eq!(serde_json::to_string(&parsed.to_json()).unwrap(), wire);
         }
@@ -437,11 +436,31 @@ mod tests {
         assert_eq!(
             stats_keys,
             [
-                "schema_version", "requests", "runs", "hits", "computations", "deduped",
-                "errors", "panics", "deadline_exceeded", "overloaded", "drain_refused",
-                "warm_queued", "warm_computed", "warm_dropped", "quarantined", "mem_hits",
-                "disk_hits", "mem_evictions", "mem_bytes", "mem_entries", "hit_rate",
-                "inflight", "draining", "phases_ms", "latency_us"
+                "schema_version",
+                "requests",
+                "runs",
+                "hits",
+                "computations",
+                "deduped",
+                "errors",
+                "panics",
+                "deadline_exceeded",
+                "overloaded",
+                "drain_refused",
+                "warm_queued",
+                "warm_computed",
+                "warm_dropped",
+                "quarantined",
+                "mem_hits",
+                "disk_hits",
+                "mem_evictions",
+                "mem_bytes",
+                "mem_entries",
+                "hit_rate",
+                "inflight",
+                "draining",
+                "phases_ms",
+                "latency_us"
             ]
         );
         let health_map = sample_health(true).to_map();
@@ -449,10 +468,22 @@ mod tests {
         assert_eq!(
             health_keys,
             [
-                "schema_version", "draining", "inflight", "active_requests", "uptime_ms",
-                "quarantined", "warm_queue_depth", "warm_queued", "warm_computed",
-                "warm_dropped", "mem_hits", "disk_hits", "mem_evictions", "mem_bytes",
-                "deadline_ms", "max_inflight"
+                "schema_version",
+                "draining",
+                "inflight",
+                "active_requests",
+                "uptime_ms",
+                "quarantined",
+                "warm_queue_depth",
+                "warm_queued",
+                "warm_computed",
+                "warm_dropped",
+                "mem_hits",
+                "disk_hits",
+                "mem_evictions",
+                "mem_bytes",
+                "deadline_ms",
+                "max_inflight"
             ]
         );
     }

@@ -42,7 +42,10 @@ fn sigterm_and_wait(mut daemon: Child, socket: &Path) {
     let start = Instant::now();
     loop {
         if let Some(status) = daemon.try_wait().unwrap() {
-            assert!(status.success(), "daemon must drain to exit 0, got {status}");
+            assert!(
+                status.success(),
+                "daemon must drain to exit 0, got {status}"
+            );
             break;
         }
         if start.elapsed() > Duration::from_secs(30) {
@@ -165,7 +168,10 @@ fn warm_file_then_batch_file_replays_the_grid_without_computing() {
     assert_eq!(done["ok"], true, "{done}");
     assert_eq!(done["items"], 3u64, "{done}");
     assert_eq!(done["ok_items"], 3u64, "{done}");
-    assert_eq!(done["hits"], 3u64, "every warmed item must be a hit: {done}");
+    assert_eq!(
+        done["hits"], 3u64,
+        "every warmed item must be a hit: {done}"
+    );
     for item in &lines[..3] {
         assert_eq!(item["ok"], true, "{item}");
         assert_eq!(item["hit"], true, "{item}");

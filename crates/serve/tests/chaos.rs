@@ -88,8 +88,7 @@ fn clean_payload(name: &str, seed: u64) -> String {
     writeln!(stdin, "{}", run_request(1, seed)).unwrap();
     drop(stdin);
     let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
-    let reply: Value =
-        serde_json::from_str(&lines.next().expect("a response").unwrap()).unwrap();
+    let reply: Value = serde_json::from_str(&lines.next().expect("a response").unwrap()).unwrap();
     assert_eq!(reply["ok"], true);
     let status = spawn_watchdog(child, Duration::from_secs(30))
         .join()
@@ -179,8 +178,7 @@ fn deadline_expired_request_is_typed_and_leaves_no_cache_entry() {
     let watchdog = spawn_watchdog(child, Duration::from_secs(60));
 
     writeln!(stdin, "{}", run_request(1, 33)).unwrap();
-    let reply: Value =
-        serde_json::from_str(&lines.next().expect("a response").unwrap()).unwrap();
+    let reply: Value = serde_json::from_str(&lines.next().expect("a response").unwrap()).unwrap();
     assert_eq!(reply["ok"], false, "{reply}");
     assert_eq!(reply["error_kind"], "deadline_exceeded", "{reply}");
 
@@ -218,7 +216,14 @@ fn client_retries_through_chaos_panics() {
     // Seed 41 is computation 1 (clean); seed 42 is computation 2 (panics),
     // and the client's retry recomputes it as computation 3.
     let out = Command::new(env!("CARGO_BIN_EXE_sfc-serve-client"))
-        .args(["--socket", &socket_str, "--retries", "3", "--timeout-ms", "30000"])
+        .args([
+            "--socket",
+            &socket_str,
+            "--retries",
+            "3",
+            "--timeout-ms",
+            "30000",
+        ])
         .arg(run_request(1, 41))
         .arg(run_request(2, 42))
         .output()
@@ -277,7 +282,14 @@ fn client_reconnects_through_chaos_disconnects() {
     // the retry is answered from the cache the first (discarded) answer
     // already populated.
     let out = Command::new(env!("CARGO_BIN_EXE_sfc-serve-client"))
-        .args(["--socket", &socket_str, "--retries", "3", "--timeout-ms", "30000"])
+        .args([
+            "--socket",
+            &socket_str,
+            "--retries",
+            "3",
+            "--timeout-ms",
+            "30000",
+        ])
         .arg(run_request(1, 51))
         .arg(run_request(2, 52))
         .output()

@@ -60,7 +60,8 @@ fn sigterm_drains_gracefully_under_load() {
 
     // A connection arriving during the drain gets one typed refusal line.
     let late = UnixStream::connect(&socket).expect("drain keeps the listener alive");
-    late.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    late.set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     let mut refusal = String::new();
     BufReader::new(late).read_line(&mut refusal).unwrap();
     let refusal: Value = serde_json::from_str(&refusal).expect("typed refusal line");

@@ -73,8 +73,7 @@ fn pipe_mode_dedups_concurrent_identical_requests() {
     let _ = std::fs::remove_dir_all(&cache);
     // 600 ms of pre-compute chaos holds the in-flight slot open long enough
     // that the second request reliably lands inside the window.
-    let mut child =
-        spawn_pipe_daemon(cache.to_str().unwrap(), &["--chaos-compute-ms", "600"]);
+    let mut child = spawn_pipe_daemon(cache.to_str().unwrap(), &["--chaos-compute-ms", "600"]);
     {
         let mut stdin = child.stdin.take().unwrap();
         writeln!(stdin, "{}", run_request(1)).unwrap();
@@ -158,7 +157,11 @@ fn socket_mode_serves_the_client_binary() {
             .args(requests)
             .output()
             .expect("client runs");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
         String::from_utf8_lossy(&out.stdout)
             .lines()
             .map(|l| serde_json::from_str(l).expect("valid response"))

@@ -40,7 +40,10 @@ fn sigterm_and_wait(mut daemon: Child, socket: &Path) {
     let start = std::time::Instant::now();
     loop {
         if let Some(status) = daemon.try_wait().unwrap() {
-            assert!(status.success(), "daemon must drain to exit 0, got {status}");
+            assert!(
+                status.success(),
+                "daemon must drain to exit 0, got {status}"
+            );
             break;
         }
         if start.elapsed() > Duration::from_secs(30) {
@@ -83,7 +86,14 @@ fn warm_hits_come_from_memory_and_survive_a_restart_byte_identically() {
 
     let daemon = spawn_daemon(
         &socket,
-        &["--cache", &cache_str, "--workers", "2", "--cache-mem-mb", "64"],
+        &[
+            "--cache",
+            &cache_str,
+            "--workers",
+            "2",
+            "--cache-mem-mb",
+            "64",
+        ],
     );
     let (mut w, mut r) = connect(&socket);
     let cold = ask(&mut w, &mut r, RUN);
@@ -119,7 +129,14 @@ fn warm_hits_come_from_memory_and_survive_a_restart_byte_identically() {
     // from memory — all byte-identical, zero recomputation.
     let daemon = spawn_daemon(
         &socket,
-        &["--cache", &cache_str, "--workers", "2", "--cache-mem-mb", "64"],
+        &[
+            "--cache",
+            &cache_str,
+            "--workers",
+            "2",
+            "--cache-mem-mb",
+            "64",
+        ],
     );
     let (mut w, mut r) = connect(&socket);
     let from_disk = ask(&mut w, &mut r, RUN);

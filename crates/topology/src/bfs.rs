@@ -48,7 +48,12 @@ where
     for src in 0..n {
         let dist = bfs_distances(n, src, &mut neighbors);
         for (dst, &d) in dist.iter().enumerate() {
-            assert_ne!(d, u64::MAX, "{}: node {dst} unreachable from {src}", topo.name());
+            assert_ne!(
+                d,
+                u64::MAX,
+                "{}: node {dst} unreachable from {src}",
+                topo.name()
+            );
             assert_eq!(
                 topo.distance(src, dst as u64),
                 d,

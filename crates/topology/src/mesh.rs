@@ -30,10 +30,7 @@ impl Mesh2d {
     /// Create an `sx × sy` mesh.
     pub fn new(sx: u64, sy: u64) -> Self {
         assert!(sx >= 1 && sy >= 1, "mesh dimensions must be positive");
-        assert!(
-            sx.checked_mul(sy).is_some(),
-            "mesh size overflows u64"
-        );
+        assert!(sx.checked_mul(sy).is_some(), "mesh size overflows u64");
         Mesh2d { sx, sy }
     }
 
@@ -302,10 +299,14 @@ mod tests {
     fn num_links_equals_neighbor_degree_sum() {
         for (sx, sy) in [(1u64, 1u64), (1, 4), (2, 2), (4, 4), (5, 3)] {
             let mesh = Mesh2d::new(sx, sy);
-            let sum: u64 = (0..mesh.num_nodes()).map(|n| mesh.neighbors(n).len() as u64).sum();
+            let sum: u64 = (0..mesh.num_nodes())
+                .map(|n| mesh.neighbors(n).len() as u64)
+                .sum();
             assert_eq!(mesh.num_links(), sum, "mesh {sx}x{sy}");
             let torus = Torus2d::new(sx, sy);
-            let sum: u64 = (0..torus.num_nodes()).map(|n| torus.neighbors(n).len() as u64).sum();
+            let sum: u64 = (0..torus.num_nodes())
+                .map(|n| torus.neighbors(n).len() as u64)
+                .sum();
             assert_eq!(torus.num_links(), sum, "torus {sx}x{sy}");
         }
     }

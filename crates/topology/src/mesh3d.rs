@@ -223,10 +223,14 @@ mod tests {
     fn num_links_equals_neighbor_degree_sum() {
         for (sx, sy, sz) in [(1u64, 1u64, 1u64), (2, 2, 2), (3, 4, 2), (4, 4, 4)] {
             let mesh = Mesh3d::new(sx, sy, sz);
-            let sum: u64 = (0..mesh.num_nodes()).map(|n| mesh.neighbors(n).len() as u64).sum();
+            let sum: u64 = (0..mesh.num_nodes())
+                .map(|n| mesh.neighbors(n).len() as u64)
+                .sum();
             assert_eq!(mesh.num_links(), sum, "mesh {sx}x{sy}x{sz}");
             let torus = Torus3d::new(sx, sy, sz);
-            let sum: u64 = (0..torus.num_nodes()).map(|n| torus.neighbors(n).len() as u64).sum();
+            let sum: u64 = (0..torus.num_nodes())
+                .map(|n| torus.neighbors(n).len() as u64)
+                .sum();
             assert_eq!(torus.num_links(), sum, "torus {sx}x{sy}x{sz}");
         }
     }

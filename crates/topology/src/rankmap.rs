@@ -174,7 +174,8 @@ impl<T: Topology> RankedNetwork<T> {
     /// Hop distance between the processors hosting two ranks.
     #[inline]
     pub fn rank_distance(&self, a: u64, b: u64) -> u64 {
-        self.topology.distance(self.map.node_of(a), self.map.node_of(b))
+        self.topology
+            .distance(self.map.node_of(a), self.map.node_of(b))
     }
 }
 

@@ -26,7 +26,9 @@ fn main() {
         .map(|s| TopologyKind::parse(s).expect("unknown topology"))
         .unwrap_or(TopologyKind::Torus);
     let processors: u64 = argv.get(1).map_or(4096, |s| s.parse().expect("processors"));
-    let n: usize = argv.get(2).map_or(50_000, |s| s.parse().expect("particles"));
+    let n: usize = argv
+        .get(2)
+        .map_or(50_000, |s| s.parse().expect("particles"));
     let dist = argv
         .get(3)
         .map(|s| DistributionKind::parse(s).expect("unknown distribution"))
@@ -58,7 +60,9 @@ fn main() {
         let tree = OwnerTree::build(&asg);
         for &processor_curve in processor_curves {
             let machine = Machine::new(topology, processors, processor_curve);
-            let nfi = nfi_acd(&asg, &machine, radius, Norm::Chebyshev).unwrap().acd();
+            let nfi = nfi_acd(&asg, &machine, radius, Norm::Chebyshev)
+                .unwrap()
+                .acd();
             let ffi = ffi_acd_with_tree(&asg, &machine, &tree).unwrap().acd();
             results.push((nfi, ffi, particle_curve, processor_curve));
         }
@@ -71,7 +75,11 @@ fn main() {
         "rank", "particle", "processor", "NFI ACD", "FFI ACD", "combined"
     );
     for (i, (nfi, ffi, pc, rc)) in results.iter().enumerate() {
-        let proc_name = if grid_topology { rc.short_name() } else { "(fixed)" };
+        let proc_name = if grid_topology {
+            rc.short_name()
+        } else {
+            "(fixed)"
+        };
         println!(
             "{:<6} {:<12} {:<12} {:>10.3} {:>10.3} {:>10.3}",
             i + 1,
@@ -87,7 +95,10 @@ fn main() {
         "\nrecommendation: order particles with the {} curve{}",
         best.2.short_name(),
         if grid_topology {
-            format!(" and rank processors with the {} curve", best.3.short_name())
+            format!(
+                " and rank processors with the {} curve",
+                best.3.short_name()
+            )
         } else {
             String::new()
         }

@@ -19,10 +19,7 @@ fn render(kind: CurveKind, order: u32) -> String {
             '#' // endpoint
         } else {
             let next = curve.point(idx + 1);
-            match (
-                next.x as i64 - here.x as i64,
-                next.y as i64 - here.y as i64,
-            ) {
+            match (next.x as i64 - here.x as i64, next.y as i64 - here.y as i64) {
                 (1, 0) => '>',
                 (-1, 0) => '<',
                 (0, 1) => '^',

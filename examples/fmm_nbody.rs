@@ -5,14 +5,14 @@
 //!
 //! Run with: `cargo run --release --example fmm_nbody`
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sfc_analysis::core::ffi::ffi_acd;
 use sfc_analysis::core::nfi::nfi_acd;
 use sfc_analysis::core::{Assignment, Machine};
 use sfc_analysis::curves::{point::Norm, CurveKind, Point2};
 use sfc_analysis::fmm::{direct, Fmm, Source};
 use sfc_analysis::topology::TopologyKind;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 /// Two Gaussian "galaxies" plus a uniform background.
@@ -100,5 +100,8 @@ fn main() {
             ffi.acd()
         );
     }
-    println!("\nrecommended ordering for this input: {} curve", best.1.short_name());
+    println!(
+        "\nrecommended ordering for this input: {} curve",
+        best.1.short_name()
+    );
 }

@@ -11,13 +11,13 @@
 //!
 //! Run with: `cargo run --release --example nbody_sim`
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sfc_analysis::core::nfi::nfi_acd;
 use sfc_analysis::core::{Assignment, Machine};
 use sfc_analysis::curves::{point::Norm, CurveKind, Point2};
 use sfc_analysis::fmm::{Fmm, Source};
 use sfc_analysis::topology::TopologyKind;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 const N: usize = 4_000;
 const STEPS: usize = 30;
@@ -49,7 +49,10 @@ impl State {
             let speed = 40.0 * r;
             velocities.push((-speed * theta.sin(), speed * theta.cos()));
         }
-        State { sources, velocities }
+        State {
+            sources,
+            velocities,
+        }
     }
 
     /// One velocity-Verlet step with FMM forces. The force on particle `i`

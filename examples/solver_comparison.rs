@@ -4,9 +4,9 @@
 //!
 //! Run with: `cargo run --release --example solver_comparison`
 
-use sfc_analysis::fmm::{direct, AdaptiveFmm, BarnesHut, Fmm, Source};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sfc_analysis::fmm::{direct, AdaptiveFmm, BarnesHut, Fmm, Source};
 use std::time::Instant;
 
 fn clustered(n: usize, seed: u64) -> Vec<Source> {

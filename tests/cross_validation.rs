@@ -93,11 +93,13 @@ fn fmm_solver_and_assignment_share_the_z_order() {
     let n = 500;
     let sources: Vec<Source> = sample(Distribution::uniform(), 10, n, 9)
         .into_iter()
-        .map(|p| Source::new(
-            (p.x as f64 + 0.5) / 1024.0,
-            (p.y as f64 + 0.5) / 1024.0,
-            1.0,
-        ))
+        .map(|p| {
+            Source::new(
+                (p.x as f64 + 0.5) / 1024.0,
+                (p.y as f64 + 0.5) / 1024.0,
+                1.0,
+            )
+        })
         .collect();
     let tree = sfc_analysis::fmm::tree::FmmTree::build(&sources, 10);
     // Extract cell coords of the sorted sources; they must be in ascending
@@ -131,7 +133,10 @@ fn machine_matches_ranked_network() {
     let net = RankedNetwork::with_sfc_ranks(Torus2d::square(4), CurveKind::Gray);
     for a in (0..256u32).step_by(17) {
         for b in (0..256u32).step_by(13) {
-            assert_eq!(machine.distance(a, b), net.rank_distance(a as u64, b as u64));
+            assert_eq!(
+                machine.distance(a, b),
+                net.rank_distance(a as u64, b as u64)
+            );
         }
     }
 }

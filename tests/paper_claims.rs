@@ -41,10 +41,25 @@ fn acd(
 #[test]
 fn table1_nfi_curve_ordering() {
     for dist in DistributionKind::ALL {
-        let (hilbert, _) = acd(CurveKind::Hilbert, CurveKind::Hilbert, TopologyKind::Torus, dist);
-        let (z, _) = acd(CurveKind::ZCurve, CurveKind::ZCurve, TopologyKind::Torus, dist);
+        let (hilbert, _) = acd(
+            CurveKind::Hilbert,
+            CurveKind::Hilbert,
+            TopologyKind::Torus,
+            dist,
+        );
+        let (z, _) = acd(
+            CurveKind::ZCurve,
+            CurveKind::ZCurve,
+            TopologyKind::Torus,
+            dist,
+        );
         let (gray, _) = acd(CurveKind::Gray, CurveKind::Gray, TopologyKind::Torus, dist);
-        let (row, _) = acd(CurveKind::RowMajor, CurveKind::RowMajor, TopologyKind::Torus, dist);
+        let (row, _) = acd(
+            CurveKind::RowMajor,
+            CurveKind::RowMajor,
+            TopologyKind::Torus,
+            dist,
+        );
         assert!(
             hilbert < gray && z <= gray * 1.02,
             "{dist}: hilbert={hilbert:.3} z={z:.3} gray={gray:.3}"
@@ -63,7 +78,15 @@ fn table1_nfi_curve_ordering() {
 fn table1_first_row_increases() {
     let values: Vec<f64> = CurveKind::PAPER
         .iter()
-        .map(|&pc| acd(pc, CurveKind::Hilbert, TopologyKind::Torus, DistributionKind::Uniform).0)
+        .map(|&pc| {
+            acd(
+                pc,
+                CurveKind::Hilbert,
+                TopologyKind::Torus,
+                DistributionKind::Uniform,
+            )
+            .0
+        })
         .collect();
     for w in values.windows(2) {
         assert!(w[0] < w[1], "row not increasing: {values:?}");
@@ -112,7 +135,10 @@ fn figure6_topology_ordering() {
         cube <= torus && cube <= mesh && cube <= quadtree,
         "hypercube should win NFI: cube={cube:.3} torus={torus:.3} mesh={mesh:.3} quadtree={quadtree:.3}"
     );
-    assert!(bus > 3.0 * torus, "bus ({bus:.2}) should dwarf torus ({torus:.2})");
+    assert!(
+        bus > 3.0 * torus,
+        "bus ({bus:.2}) should dwarf torus ({torus:.2})"
+    );
     assert!(ring > 2.0 * torus);
     let mesh_torus_gap = (mesh - torus).abs() / torus;
     assert!(
@@ -127,14 +153,34 @@ fn figure6_topology_ordering() {
 #[test]
 fn row_major_gains_from_torus_wraparound() {
     let dist = DistributionKind::Uniform;
-    let (_, mesh_ffi) = acd(CurveKind::RowMajor, CurveKind::RowMajor, TopologyKind::Mesh, dist);
-    let (_, torus_ffi) = acd(CurveKind::RowMajor, CurveKind::RowMajor, TopologyKind::Torus, dist);
+    let (_, mesh_ffi) = acd(
+        CurveKind::RowMajor,
+        CurveKind::RowMajor,
+        TopologyKind::Mesh,
+        dist,
+    );
+    let (_, torus_ffi) = acd(
+        CurveKind::RowMajor,
+        CurveKind::RowMajor,
+        TopologyKind::Torus,
+        dist,
+    );
     assert!(
         mesh_ffi > 1.15 * torus_ffi,
         "row-major FFI: mesh {mesh_ffi:.3} should clearly exceed torus {torus_ffi:.3}"
     );
-    let (_, h_mesh) = acd(CurveKind::Hilbert, CurveKind::Hilbert, TopologyKind::Mesh, dist);
-    let (_, h_torus) = acd(CurveKind::Hilbert, CurveKind::Hilbert, TopologyKind::Torus, dist);
+    let (_, h_mesh) = acd(
+        CurveKind::Hilbert,
+        CurveKind::Hilbert,
+        TopologyKind::Mesh,
+        dist,
+    );
+    let (_, h_torus) = acd(
+        CurveKind::Hilbert,
+        CurveKind::Hilbert,
+        TopologyKind::Torus,
+        dist,
+    );
     let hilbert_gap = (h_mesh - h_torus) / h_torus;
     assert!(
         hilbert_gap < 0.15,
@@ -164,7 +210,15 @@ fn figure5_anns_inversion() {
 /// exponential, then normal.
 #[test]
 fn nfi_distribution_ordering() {
-    let nfi = |d| acd(CurveKind::Hilbert, CurveKind::Hilbert, TopologyKind::Torus, d).0;
+    let nfi = |d| {
+        acd(
+            CurveKind::Hilbert,
+            CurveKind::Hilbert,
+            TopologyKind::Torus,
+            d,
+        )
+        .0
+    };
     let uniform = nfi(DistributionKind::Uniform);
     let normal = nfi(DistributionKind::Normal);
     let exponential = nfi(DistributionKind::Exponential);
@@ -181,8 +235,14 @@ fn acd_bounded_by_diameter() {
         let diameter = topo.build(procs).diameter() as f64;
         for curve in CurveKind::PAPER {
             let (nfi, ffi) = acd(curve, curve, topo, DistributionKind::Uniform);
-            assert!(nfi <= diameter, "{topo}/{curve}: NFI {nfi} > diameter {diameter}");
-            assert!(ffi <= diameter, "{topo}/{curve}: FFI {ffi} > diameter {diameter}");
+            assert!(
+                nfi <= diameter,
+                "{topo}/{curve}: NFI {nfi} > diameter {diameter}"
+            );
+            assert!(
+                ffi <= diameter,
+                "{topo}/{curve}: FFI {ffi} > diameter {diameter}"
+            );
         }
     }
 }
