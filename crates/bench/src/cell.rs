@@ -125,8 +125,8 @@ impl Pipeline<'_> {
             Ok(match self.measure {
                 Measure::LinkLoad => machines
                     .iter()
-                    .map(|m| link_load_values(nfi_link_load(&asg, m, self.radius, self.norm)))
-                    .collect(),
+                    .map(|m| nfi_link_load(&asg, m, self.radius, self.norm).map(link_load_values))
+                    .collect::<Result<_, _>>()?,
                 _ => nfi_acd_on(&asg, &machines, self.radius, self.norm)?
                     .iter()
                     .map(|r| vec![r.acd()])

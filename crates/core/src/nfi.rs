@@ -12,12 +12,15 @@
 //! `y → x` are two communications); since hop distance is symmetric, the
 //! ACD is identical to the undirected convention.
 //!
-//! One scan serves a whole machine set. It walks the particles in curve
-//! order, so each rank's particles come in one run, and counts the rank's
-//! messages per receiver; each distinct `(sender, receiver)` pair is then
-//! evaluated once per machine (see the `scan` module). The scan runs on the
-//! calling thread; sweeps parallelize across cells. Every sum is an
-//! integer, so results are exact and independent of the order of
+//! Both norms' balls are symmetric, so the scan visits each pair of
+//! particles once: from each particle it reads only the cells that come
+//! after it in row-major order, and each pair it finds stands for the two
+//! directed exchanges. One scan serves a whole machine set. It walks the
+//! particles in curve order, so each rank's particles come in one run, and
+//! counts the rank's pairs per receiver; each distinct `(sender, receiver)`
+//! pair is then evaluated once per machine (see the `scan` module). The
+//! scan runs on the calling thread; sweeps parallelize across cells. Every
+//! sum is an integer, so results are exact and independent of the order of
 //! evaluation.
 
 use crate::assignment::Assignment;
@@ -117,13 +120,8 @@ fn nfi_totals(
     norm: Norm,
     distance: &mut [u64],
 ) -> Result<NfiResult, SfcError> {
-    if radius < 1 {
-        return Err(SfcError::ZeroRadius);
-    }
-    for machine in machines {
-        machine.check_assignment(asg)?;
-    }
-    let mut totals = Totals::new(machines, distance);
+    check(asg, machines, radius)?;
+    let mut totals = Totals::undirected(machines, distance);
     nfi_traffic(asg, radius, norm, &mut totals);
     Ok(NfiResult {
         total_distance: 0,
@@ -132,10 +130,21 @@ fn nfi_totals(
     })
 }
 
-/// Deliver every near-field message of `asg` to `sink`, counted per
-/// `(sender, receiver)` pair. Particles are scanned in curve order, so each
-/// rank is one run of senders.
-pub(crate) fn nfi_traffic(asg: &Assignment, radius: u32, norm: Norm, sink: &mut impl PairSink) {
+/// Reject what no near-field measurement can take: a zero radius, then a
+/// machine with fewer ranks than `asg` addresses.
+pub(crate) fn check(asg: &Assignment, machines: &[&Machine], radius: u32) -> Result<(), SfcError> {
+    if radius < 1 {
+        return Err(SfcError::ZeroRadius);
+    }
+    machines.iter().try_for_each(|m| m.check_assignment(asg))
+}
+
+/// Deliver the near-field traffic of `asg` to `sink`, *undirected* (see
+/// [`PairSink`]): each pair of particles within `radius` under `norm` is
+/// delivered once, from whichever comes first in row-major order, and
+/// stands for one message each way. Particles are scanned in curve order,
+/// so each rank is one run of senders. A zero radius delivers nothing.
+pub fn nfi_traffic(asg: &Assignment, radius: u32, norm: Norm, sink: &mut impl PairSink) {
     let side = 1i64 << asg.grid_order();
     let r = radius as i64;
     with_scratch(|scratch| {
@@ -143,23 +152,20 @@ pub(crate) fn nfi_traffic(asg: &Assignment, radius: u32, norm: Norm, sink: &mut 
         acc.reset(asg.num_ranks());
         for (i, p) in asg.particles().iter().enumerate() {
             acc.send_from(asg.rank_of_index(i), sink);
-            let x = p.x as i64;
-            // The neighborhood is a stack of contiguous row segments: per
-            // `dy`, `dx` spans `±r` (Chebyshev) or `±(r − |dy|)`
-            // (Manhattan). Clip each segment against the grid edge once;
-            // `dy == 0` cuts out the particle's own cell.
-            for dy in -r..=r {
-                let ny = p.y as i64 + dy;
-                if ny < 0 || ny >= side {
-                    continue;
-                }
+            let (x, y) = (p.x as i64, p.y as i64);
+            // The half neighborhood is a stack of contiguous row segments:
+            // per `dy` in `0..=r`, stopping at the grid's top edge, `dx`
+            // spans `±r` (Chebyshev) or `±(r − dy)` (Manhattan), and row
+            // `dy == 0` keeps only the cells right of the particle. Each
+            // segment is clipped against the grid edge once.
+            for dy in 0..=r.min(side - 1 - y) {
                 let w = match norm {
                     Norm::Chebyshev => r,
-                    Norm::Manhattan => r - dy.abs(),
+                    Norm::Manhattan => r - dy,
                 };
-                let xs = (x - w).max(0) as u32..(x + w + 1).min(side) as u32;
-                let hole = if dy == 0 { p.x..p.x + 1 } else { 0..0 };
-                scan_row(asg, ny as u32, xs, hole, acc);
+                let lo = if dy == 0 { x + 1 } else { (x - w).max(0) };
+                let xs = lo as u32..(x + w + 1).min(side) as u32;
+                scan_row(asg, (y + dy) as u32, xs, 0..0, acc);
             }
         }
         acc.flush(sink);
@@ -311,6 +317,28 @@ mod tests {
             }) => {}
             other => panic!("expected MachineTooSmall, got {other:?}"),
         }
+    }
+
+    /// The half scan's row loop is bounded by the grid, not the radius: a
+    /// radius past the grid's side sees the whole grid and returns at once.
+    #[test]
+    fn radius_beyond_the_grid_is_the_whole_grid() {
+        let coords: Vec<_> = (0..20u32).map(|i| (i % 8, i / 8 * 2 + i % 2)).collect();
+        let particles = pts(&coords);
+        let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 4);
+        let machine = Machine::closed_form(TopologyKind::Torus, 4, CurveKind::Hilbert);
+        let side = 8;
+        let want = nfi_acd(&asg, &machine, side - 1, Norm::Chebyshev).unwrap();
+        let n = asg.particles().len() as u64;
+        assert_eq!(want.num_comms, n * (n - 1));
+        let start = std::time::Instant::now();
+        let got = nfi_acd(&asg, &machine, u32::MAX, Norm::Chebyshev).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(
+            nfi_acd(&asg, &machine, u32::MAX, Norm::Manhattan).unwrap(),
+            want
+        );
+        assert!(start.elapsed().as_secs_f64() < 1.0, "{:?}", start.elapsed());
     }
 
     /// The dense row-segment scan and the CellMap probe fallback produce

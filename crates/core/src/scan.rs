@@ -8,6 +8,12 @@
 //! children with the cell's own 3×3 cut out. So both reduce to one
 //! primitive, [`scan_row`]: count one row segment, minus a hole.
 //!
+//! Both relations are symmetric, and so is hop distance. So the kernels
+//! scan half of each neighborhood: only the cells that come after the
+//! sender's own in row-major order, `(ny, nx) > (y, x)`. Every pair of
+//! cells is then visited once and stands for one message each way. The
+//! [`PairSink`] contract says which families a kernel delivers that way.
+//!
 //! The rank source is a [`RankRows`]. Where it holds a dense table, a
 //! segment is a contiguous slice. Where it does not, the same cells are
 //! probed one at a time. That covers over-cap grids and assignments built
@@ -22,9 +28,10 @@
 //! touched. When the sender changes, the distinct `(sender, receiver,
 //! count)` triples go to a [`PairSink`] and the table is cleared. The
 //! [`Totals`] sink evaluates them on a whole machine set at once:
-//! `distance[m] += count · m.distance(s, r)`. One scan of an assignment
-//! therefore serves every machine it is measured on, and a message costs
-//! one counter increment, whatever the machine.
+//! `distance[m] += count · m.distance(s, r)`, doubled for an undirected
+//! family. One scan of an assignment therefore serves every machine it is
+//! measured on, and a message costs one counter increment, whatever the
+//! machine.
 
 use crate::assignment::Assignment;
 use crate::machine::Machine;
@@ -61,7 +68,17 @@ impl RankRows for Assignment {
 /// cells, with each distinct receiver and the number of messages it got.
 /// A sender whose cells are not contiguous in the scan is delivered in
 /// several calls; every sink only sums, so that changes nothing.
-pub(crate) trait PairSink {
+///
+/// A kernel delivers each message family either *directed*, where
+/// `(receiver, count)` from `sender` stands for `count` messages
+/// `sender → receiver`, or *undirected*, where it stands for `count`
+/// messages each way, `sender → receiver` and `receiver → sender` (so
+/// `2 · count` rank-local messages when the two are equal). An undirected
+/// family is scanned over half of each neighborhood, so a pair may come
+/// from either end. [`nfi_traffic`](crate::nfi::nfi_traffic) delivers the
+/// near field undirected; [`ffi_traffic`](crate::ffi::ffi_traffic)
+/// delivers interpolation directed and interaction lists undirected.
+pub trait PairSink {
     /// Take the `(receiver, count)` pairs of `sender`. Every count is
     /// positive and every receiver appears once; `sender` itself may be
     /// among them (rank-local messages).
@@ -70,9 +87,8 @@ pub(crate) trait PairSink {
 
 /// Messages from one sender, counted per receiver.
 ///
-/// The counts are `u64`, so they cannot overflow: a scan sends fewer
-/// messages than `u64::MAX` (at most `(2r + 1)²` per particle for the near
-/// field, 28 per cell and level for the far field).
+/// The counts are `u64`, so they cannot overflow: a scan counts fewer
+/// messages than `u64::MAX` (at most one per pair of cells of a level).
 #[derive(Debug, Default)]
 pub(crate) struct PairCounts {
     /// The rank whose messages are being counted.
@@ -147,10 +163,17 @@ impl PairCounts {
 
 /// Traffic evaluated on a machine set: the hop-distance sum on each
 /// machine, plus the message counts, which no machine changes.
+///
+/// An undirected family's pairs count twice: `2 · count` messages, and
+/// `2 · count · d(s, r)` hops, since `d` is symmetric. Every sum is an
+/// integer, so this is exact.
 pub(crate) struct Totals<'a> {
     machines: &'a [&'a Machine],
     /// `distance[m]`: hop-distance sum on `machines[m]`.
     distance: &'a mut [u64],
+    /// Messages one delivered count stands for: 1 for a directed family,
+    /// 2 for an undirected one.
+    ways: u64,
     /// Messages.
     pub comms: u64,
     /// Messages whose two ends are on the same rank.
@@ -158,13 +181,24 @@ pub(crate) struct Totals<'a> {
 }
 
 impl<'a> Totals<'a> {
-    /// Totals for `machines`, adding each machine's distances to its slot
-    /// of `distance`.
-    pub fn new(machines: &'a [&'a Machine], distance: &'a mut [u64]) -> Self {
+    /// Totals of a directed family on `machines`, adding each machine's
+    /// distances to its slot of `distance`.
+    pub fn directed(machines: &'a [&'a Machine], distance: &'a mut [u64]) -> Self {
+        Self::new(machines, distance, 1)
+    }
+
+    /// Totals of an undirected family on `machines`, adding each machine's
+    /// distances to its slot of `distance`.
+    pub fn undirected(machines: &'a [&'a Machine], distance: &'a mut [u64]) -> Self {
+        Self::new(machines, distance, 2)
+    }
+
+    fn new(machines: &'a [&'a Machine], distance: &'a mut [u64], ways: u64) -> Self {
         assert_eq!(machines.len(), distance.len(), "one distance per machine");
         Totals {
             machines,
             distance,
+            ways,
             comms: 0,
             local: 0,
         }
@@ -173,18 +207,22 @@ impl<'a> Totals<'a> {
 
 impl PairSink for Totals<'_> {
     fn take(&mut self, sender: u32, pairs: impl Iterator<Item = (u32, u64)> + Clone) {
+        let (mut comms, mut local) = (0, 0);
         for (receiver, count) in pairs.clone() {
-            self.comms += count;
+            comms += count;
             if receiver == sender {
-                self.local += count;
+                local += count;
             }
         }
+        self.comms += self.ways * comms;
+        self.local += self.ways * local;
         let remote = pairs.filter(|&(receiver, _)| receiver != sender);
         for (machine, sum) in self.machines.iter().zip(self.distance.iter_mut()) {
-            *sum += remote
-                .clone()
-                .map(|(receiver, count)| count * machine.distance(sender, receiver))
-                .sum::<u64>();
+            *sum += self.ways
+                * remote
+                    .clone()
+                    .map(|(receiver, count)| count * machine.distance(sender, receiver))
+                    .sum::<u64>();
         }
     }
 }
@@ -354,7 +392,7 @@ mod tests {
         let ring = Machine::new(TopologyKind::Ring, 64, CurveKind::RowMajor);
         let machines = [&mesh, &ring];
         let mut distance = [0; 2];
-        let mut totals = Totals::new(&machines, &mut distance);
+        let mut totals = Totals::directed(&machines, &mut distance);
         let mut acc = PairCounts::default();
         acc.reset(16);
         acc.send_from(5, &mut totals);
@@ -372,6 +410,24 @@ mod tests {
                 .sum();
             assert_eq!(distance[m], want, "machine {m}");
         }
+    }
+
+    /// An undirected family's pair stands for one message each way: twice
+    /// the messages, local ones too, and twice the hops.
+    #[test]
+    fn undirected_totals_count_each_pair_both_ways() {
+        let mesh = Machine::closed_form(TopologyKind::Mesh, 16, CurveKind::RowMajor);
+        let machines = [&mesh];
+        let (mut one, mut two) = ([0], [0]);
+        let mut directed = Totals::directed(&machines, &mut one);
+        let mut undirected = Totals::undirected(&machines, &mut two);
+        directed.take(5, [(5, 1), (13, 2)].into_iter());
+        undirected.take(5, [(5, 1), (13, 2)].into_iter());
+        assert_eq!((directed.comms, directed.local), (3, 1));
+        assert_eq!((undirected.comms, undirected.local), (6, 2));
+        let hops = mesh.distance(5, 13);
+        assert!(hops > 0);
+        assert_eq!((one[0], two[0]), (2 * hops, 4 * hops));
     }
 
     /// A sender whose cells come in several runs is delivered in several
