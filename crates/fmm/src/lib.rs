@@ -17,7 +17,11 @@
 //! textbook pipeline: P2M at the leaves, M2M up the quadtree, M2L across
 //! each cell's interaction list (the same lists the ACD far-field model
 //! walks — see [`sfc_quadtree::interaction`]), L2L down, and L2P plus direct
-//! P2P in the Chebyshev-1 near field.
+//! P2P in the Chebyshev-1 near field. The tree enumerates the cell pairs
+//! of each translation ([`tree::FmmTree::interaction_partners`],
+//! [`tree::FmmTree::near_leaves`], [`tree::Level::parent`]), and the
+//! workspace's cross-validation tests check that, mapped to owning ranks,
+//! they are exactly the messages the ACD model counts.
 //!
 //! ```
 //! use sfc_fmm::{Fmm, Source, direct};
@@ -38,8 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod barnes_hut;
 pub mod binomial;
 pub mod complex;
 pub mod direct;
@@ -47,8 +49,6 @@ pub mod operators;
 pub mod solver;
 pub mod tree;
 
-pub use adaptive::AdaptiveFmm;
-pub use barnes_hut::BarnesHut;
 pub use complex::Complex;
 pub use solver::Fmm;
 

@@ -13,6 +13,11 @@
 //! 5. **L2P + P2P** — evaluate the local expansion at each source and add
 //!    the direct near field (Chebyshev-1 neighbor leaves).
 //!
+//! M2L and P2P read their cell pairs from
+//! [`FmmTree::interaction_partners`] and [`FmmTree::near_leaves`], and
+//! M2M/L2L from [`crate::tree::Level::parent`], so a caller can enumerate
+//! exactly the pairs a solve translates between.
+//!
 //! Phases 1, 3 and 5 are data-parallel over cells/leaves and run under
 //! rayon.
 
@@ -24,7 +29,6 @@ use crate::tree::FmmTree;
 use crate::Complex;
 use crate::Source;
 use rayon::prelude::*;
-use sfc_quadtree::interaction_list;
 
 /// The solver configuration: expansion order and leaf population target.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +52,8 @@ impl Fmm {
     }
 
     /// Evaluate `φ(zᵢ) = Σ_{j≠i} q_j ln|zᵢ − z_j|` at every source,
-    /// returning values in the *input* order of `sources`.
+    /// returning values in the *input* order of `sources` (none for no
+    /// sources, as [`crate::direct::potentials`]).
     pub fn potentials(&self, sources: &[Source]) -> Vec<f64> {
         let depth = FmmTree::auto_depth(sources.len(), self.per_leaf);
         self.potentials_with_depth(sources, depth)
@@ -56,39 +61,67 @@ impl Fmm {
 
     /// As [`Fmm::potentials`], with an explicit tree depth.
     pub fn potentials_with_depth(&self, sources: &[Source], depth: u32) -> Vec<f64> {
-        let tree = FmmTree::build(sources, depth);
-        let phi_sorted = self.run(&tree);
-        // Map back to input order. The tree sorted sources by Morton code;
-        // we rebuild the permutation by sorting indices the same way.
-        let side = (1u64 << depth) as f64;
-        let mut order: Vec<usize> = (0..sources.len()).collect();
-        order.sort_by_key(|&i| {
-            let s = &sources[i];
-            sfc_curves::morton::encode((s.pos.re * side) as u32, (s.pos.im * side) as u32)
-        });
-        let mut out = vec![0.0; sources.len()];
-        for (sorted_pos, &orig) in order.iter().enumerate() {
-            out[orig] = phi_sorted[sorted_pos];
-        }
-        out
+        self.solve(sources, depth, |local, z, near| {
+            let mut v = eval_local(local, z);
+            for s in near {
+                v += p2p(s, z);
+            }
+            v
+        })
     }
 
     /// Evaluate both the potential and the force field
     /// `Φ'(zᵢ) = Σ_{j≠i} q_j / (zᵢ − z_j)` at every source, in input order.
-    /// The physical gradient of the potential is `(Re Φ', −Im Φ')`.
+    /// The physical gradient of the potential is `(Re Φ', −Im Φ')`. No
+    /// sources give an empty result.
     pub fn potentials_and_fields(&self, sources: &[Source]) -> Vec<(f64, Complex)> {
         let depth = FmmTree::auto_depth(sources.len(), self.per_leaf);
+        self.solve(sources, depth, |local, z, near| {
+            let mut v = eval_local(local, z);
+            let mut g = eval_local_grad(local, z);
+            for s in near {
+                v += p2p(s, z);
+                g += p2p_grad(s, z);
+            }
+            (v, g)
+        })
+    }
+
+    /// Run the pipeline at leaf level `depth` and return `eval(local, z,
+    /// near)` for every source, in input order. `local` is the source's
+    /// leaf's local expansion and `near` holds the source slices of the
+    /// leaf and of its [`FmmTree::near_leaves`], in that order.
+    fn solve<T: Copy + Default + Send>(
+        &self,
+        sources: &[Source],
+        depth: u32,
+        eval: impl Fn(&Local, Complex, &[&[Source]]) -> T + Sync,
+    ) -> Vec<T> {
+        if sources.is_empty() {
+            return Vec::new();
+        }
         let tree = FmmTree::build(sources, depth);
-        let sorted = self.run_fields(&tree);
-        let side = (1u64 << depth) as f64;
-        let mut order: Vec<usize> = (0..sources.len()).collect();
-        order.sort_by_key(|&i| {
-            let s = &sources[i];
-            sfc_curves::morton::encode((s.pos.re * side) as u32, (s.pos.im * side) as u32)
-        });
-        let mut out = vec![(0.0, Complex::default()); sources.len()];
-        for (sorted_pos, &orig) in order.iter().enumerate() {
-            out[orig] = sorted[sorted_pos];
+        let locals = self.downward_locals(&tree);
+        // Phase 5: L2P + P2P at the leaves.
+        let leaves = tree.leaves();
+        let chunks: Vec<Vec<T>> = (0..leaves.len())
+            .into_par_iter()
+            .map(|i| {
+                let near: Vec<&[Source]> = std::iter::once(i)
+                    .chain(tree.near_leaves(i))
+                    .map(|j| &tree.sources[leaves.range[j].clone()])
+                    .collect();
+                tree.sources[leaves.range[i].clone()]
+                    .iter()
+                    .map(|s| eval(&locals[i], s.pos, &near))
+                    .collect()
+            })
+            .collect();
+        // Leaves own consecutive slices of the sorted sources, so the
+        // chunks concatenate in sorted order.
+        let mut out = vec![T::default(); sources.len()];
+        for (&input, value) in tree.input_index.iter().zip(chunks.into_iter().flatten()) {
+            out[input] = value;
         }
         out
     }
@@ -149,10 +182,8 @@ impl Fmm {
                     let parent_local = &coarse_locals[level.parent[i]];
                     let mut local = l2l(parent_local, level.center[i], &bin);
                     // ...plus M2L from every occupied interaction-list cell.
-                    for other in interaction_list(level.cell(i)) {
-                        if let Some(&j) = level.index.get(&other.code()) {
-                            m2l(&ms[j], &mut local, &bin);
-                        }
+                    for j in tree.interaction_partners(l as u32, i) {
+                        m2l(&ms[j], &mut local, &bin);
                     }
                     local
                 })
@@ -161,82 +192,6 @@ impl Fmm {
 
         locals
     }
-
-    /// Run the pipeline over a prebuilt tree; results follow the tree's
-    /// (Morton-sorted) source order.
-    pub fn run(&self, tree: &FmmTree) -> Vec<f64> {
-        let locals = self.downward_locals(tree);
-        // Phase 5: L2P + P2P at the leaves.
-        let leaves = tree.leaves();
-        let mut phi = vec![0.0; tree.sources.len()];
-        let chunks: Vec<(usize, Vec<f64>)> = (0..leaves.len())
-            .into_par_iter()
-            .map(|i| {
-                let range = leaves.range[i].clone();
-                let near = near_field_ranges(tree, i);
-                let values: Vec<f64> = tree.sources[range.clone()]
-                    .iter()
-                    .map(|s| {
-                        let mut v = eval_local(&locals[i], s.pos);
-                        for r in &near {
-                            v += p2p(&tree.sources[r.clone()], s.pos);
-                        }
-                        v
-                    })
-                    .collect();
-                (range.start, values)
-            })
-            .collect();
-        for (start, values) in chunks {
-            phi[start..start + values.len()].copy_from_slice(&values);
-        }
-        phi
-    }
-
-    /// Like [`Fmm::run`], additionally evaluating the complex force field.
-    pub fn run_fields(&self, tree: &FmmTree) -> Vec<(f64, Complex)> {
-        let locals = self.downward_locals(tree);
-        let leaves = tree.leaves();
-        let mut out = vec![(0.0, Complex::default()); tree.sources.len()];
-        let chunks: Vec<(usize, Vec<(f64, Complex)>)> = (0..leaves.len())
-            .into_par_iter()
-            .map(|i| {
-                let range = leaves.range[i].clone();
-                let near = near_field_ranges(tree, i);
-                let values: Vec<(f64, Complex)> = tree.sources[range.clone()]
-                    .iter()
-                    .map(|s| {
-                        let mut v = eval_local(&locals[i], s.pos);
-                        let mut g = eval_local_grad(&locals[i], s.pos);
-                        for r in &near {
-                            v += p2p(&tree.sources[r.clone()], s.pos);
-                            g += p2p_grad(&tree.sources[r.clone()], s.pos);
-                        }
-                        (v, g)
-                    })
-                    .collect();
-                (range.start, values)
-            })
-            .collect();
-        for (start, values) in chunks {
-            out[start..start + values.len()].copy_from_slice(&values);
-        }
-        out
-    }
-}
-
-/// Source ranges of a leaf's near field: the leaf itself plus its occupied
-/// Chebyshev-1 neighbors.
-fn near_field_ranges(tree: &FmmTree, leaf: usize) -> Vec<std::ops::Range<usize>> {
-    let leaves = tree.leaves();
-    let cell = leaves.cell(leaf);
-    let mut near = vec![leaves.range[leaf].clone()];
-    for nb in cell.neighbors() {
-        if let Some(&j) = leaves.index.get(&nb.code()) {
-            near.push(leaves.range[j].clone());
-        }
-    }
-    near
 }
 
 #[cfg(test)]
@@ -333,6 +288,15 @@ mod tests {
         let exact = direct::potentials(&sources);
         let fast = Fmm::new(15).potentials(&sources);
         assert!(max_rel_error(&fast, &exact) < 1e-9);
+    }
+
+    #[test]
+    fn empty_input_gives_empty_output() {
+        let solver = Fmm::new(10);
+        assert!(direct::potentials(&[]).is_empty());
+        assert!(solver.potentials(&[]).is_empty());
+        assert!(solver.potentials_with_depth(&[], 3).is_empty());
+        assert!(solver.potentials_and_fields(&[]).is_empty());
     }
 
     #[test]

@@ -6,10 +6,15 @@
 //! code of their leaf — i.e. ordered by the Z-curve, the same particle
 //! ordering the ACD model studies — so every tree node owns one contiguous
 //! slice of the source array.
+//!
+//! The tree also names the cell pairs the solver's translations run over:
+//! [`Level::parent`] for M2M and L2L, [`FmmTree::interaction_partners`] for
+//! M2L and [`FmmTree::near_leaves`] for the P2P near field. These are the
+//! pairs the ACD far- and near-field models count.
 
 use crate::{Complex, Source};
 use sfc_curves::morton;
-use sfc_quadtree::Cell;
+use sfc_quadtree::{interaction_list, Cell};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -55,6 +60,9 @@ pub struct FmmTree {
     pub depth: u32,
     /// Sources, sorted by leaf Morton code.
     pub sources: Vec<Source>,
+    /// `input_index[i]`: the position of `sources[i]` in the slice the
+    /// tree was built from. Sources sharing a leaf keep their input order.
+    pub input_index: Vec<usize>,
     /// Levels `0 ..= depth`.
     pub levels: Vec<Level>,
 }
@@ -75,9 +83,10 @@ impl FmmTree {
         assert!((1..=26).contains(&depth), "depth out of range: {depth}");
         assert!(!sources.is_empty(), "at least one source required");
         let side = (1u64 << depth) as f64;
-        let mut keyed: Vec<(u64, Source)> = sources
+        let mut keyed: Vec<(u64, usize)> = sources
             .iter()
-            .map(|&s| {
+            .enumerate()
+            .map(|(i, s)| {
                 assert!(
                     s.pos.re >= 0.0 && s.pos.re < 1.0 && s.pos.im >= 0.0 && s.pos.im < 1.0,
                     "source at {} outside the unit square",
@@ -85,11 +94,12 @@ impl FmmTree {
                 );
                 let cx = (s.pos.re * side) as u32;
                 let cy = (s.pos.im * side) as u32;
-                (morton::encode(cx, cy), s)
+                (morton::encode(cx, cy), i)
             })
             .collect();
         keyed.sort_by_key(|&(code, _)| code);
-        let sorted: Vec<Source> = keyed.iter().map(|&(_, s)| s).collect();
+        let input_index: Vec<usize> = keyed.iter().map(|&(_, i)| i).collect();
+        let sorted: Vec<Source> = input_index.iter().map(|&i| sources[i]).collect();
 
         // Leaf level: unique codes and ranges.
         let mut levels_rev: Vec<Level> = Vec::with_capacity(depth as usize + 1);
@@ -126,6 +136,7 @@ impl FmmTree {
         let mut tree = FmmTree {
             depth,
             sources: sorted,
+            input_index,
             levels: levels_rev,
         };
         // Parent links.
@@ -175,6 +186,24 @@ impl FmmTree {
     /// The leaf level.
     pub fn leaves(&self) -> &Level {
         &self.levels[self.depth as usize]
+    }
+
+    /// Indices of the occupied cells of `i`'s interaction list at `level`,
+    /// in list order: the cells whose multipoles M2L translates into `i`'s
+    /// local expansion.
+    pub fn interaction_partners(&self, level: u32, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let level = &self.levels[level as usize];
+        let cells = interaction_list(level.cell(i)).into_iter();
+        cells.filter_map(move |c| level.index.get(&c.code()).copied())
+    }
+
+    /// Indices of the occupied Chebyshev-1 neighbors of leaf `i`, in
+    /// [`Cell::neighbors`] order: the leaves whose sources P2P sums
+    /// directly at `i`'s sources, besides `i`'s own.
+    pub fn near_leaves(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let leaves = self.leaves();
+        let cells = leaves.cell(i).neighbors().into_iter();
+        cells.filter_map(move |c| leaves.index.get(&c.code()).copied())
     }
 }
 
@@ -246,6 +275,10 @@ mod tests {
             Source::new(0.12, 0.08, 1.0),
         ];
         let tree = FmmTree::build(&sources, 2);
+        assert_eq!(tree.input_index, [1, 2, 0]);
+        for (sorted, &input) in tree.sources.iter().zip(&tree.input_index) {
+            assert_eq!(*sorted, sources[input]);
+        }
         let leaves = tree.leaves();
         assert_eq!(leaves.len(), 2);
         // The two nearby sources share the leaf holding range of length 2.

@@ -88,30 +88,3 @@ proptest! {
         prop_assert!((e1 - e2).abs() < 1e-9 * (1.0 + e1.abs()));
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The adaptive solver agrees with direct summation on arbitrary
-    /// configurations (the U/V/W/X lists never double- or under-count).
-    #[test]
-    fn adaptive_matches_direct(sources in sources_strategy(50)) {
-        let exact = direct::potentials(&sources);
-        let fast = sfc_fmm::AdaptiveFmm::new(20).potentials(&sources);
-        let scale = exact.iter().fold(1e-12f64, |m, v| m.max(v.abs()));
-        for (f, e) in fast.iter().zip(&exact) {
-            prop_assert!((f - e).abs() / scale < 1e-5, "{f} vs {e}");
-        }
-    }
-
-    /// Barnes–Hut converges to direct as theta shrinks.
-    #[test]
-    fn barnes_hut_bounded_error(sources in sources_strategy(40)) {
-        let exact = direct::potentials(&sources);
-        let fast = sfc_fmm::BarnesHut::new(0.3).potentials(&sources);
-        let scale = exact.iter().fold(1e-12f64, |m, v| m.max(v.abs()));
-        for (f, e) in fast.iter().zip(&exact) {
-            prop_assert!((f - e).abs() / scale < 1e-2);
-        }
-    }
-}

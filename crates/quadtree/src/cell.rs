@@ -339,87 +339,3 @@ mod tests {
         assert_eq!((c.level, c.x, c.y), (8, 100, 200));
     }
 }
-
-/// Region adjacency across levels: true if the closed regions of two cells
-/// (of possibly different levels) touch — share boundary or overlap. Used by
-/// the adaptive FMM's U/W/X list construction, where a leaf's neighbors can
-/// be coarser or finer than itself.
-pub fn regions_touch(a: Cell, b: Cell) -> bool {
-    // Compare footprints at the finer of the two levels.
-    let level = a.level.max(b.level);
-    let (ax0, ax1) = footprint(a.x, a.level, level);
-    let (ay0, ay1) = footprint(a.y, a.level, level);
-    let (bx0, bx1) = footprint(b.x, b.level, level);
-    let (by0, by1) = footprint(b.y, b.level, level);
-    gap(ax0, ax1, bx0, bx1) <= 1 && gap(ay0, ay1, by0, by1) <= 1
-}
-
-/// Half-open coordinate range `[lo, hi)` of a level-`l` coordinate expressed
-/// at `target_level`.
-fn footprint(coord: u32, level: u32, target_level: u32) -> (u64, u64) {
-    let shift = target_level - level;
-    ((coord as u64) << shift, ((coord as u64) + 1) << shift)
-}
-
-/// Distance in cells between two half-open ranges (0 when they overlap).
-fn gap(a0: u64, a1: u64, b0: u64, b1: u64) -> u64 {
-    if a1 <= b0 {
-        b0 - a1 + 1
-    } else if b1 <= a0 {
-        a0 - b1 + 1
-    } else {
-        0
-    }
-}
-
-#[cfg(test)]
-mod touch_tests {
-    use super::*;
-
-    #[test]
-    fn same_level_touch_matches_chebyshev() {
-        for ax in 0..4u32 {
-            for ay in 0..4u32 {
-                for bx in 0..4u32 {
-                    for by in 0..4u32 {
-                        let a = Cell::new(2, ax, ay);
-                        let b = Cell::new(2, bx, by);
-                        assert_eq!(regions_touch(a, b), a.chebyshev(b) <= 1);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn containment_implies_touch() {
-        let big = Cell::new(1, 0, 0);
-        let small = Cell::new(4, 3, 5);
-        assert!(big.contains(small));
-        assert!(regions_touch(big, small));
-        assert!(regions_touch(small, big));
-    }
-
-    #[test]
-    fn coarse_fine_adjacency() {
-        // Level-1 cell (0,0) covers [0,4)x[0,4) at level 3. The level-3
-        // cell (4,0) touches it; (5,0) does not.
-        let big = Cell::new(1, 0, 0);
-        assert!(regions_touch(big, Cell::new(3, 4, 0)));
-        assert!(regions_touch(big, Cell::new(3, 4, 4)));
-        assert!(!regions_touch(big, Cell::new(3, 5, 0)));
-        assert!(!regions_touch(big, Cell::new(3, 5, 5)));
-    }
-
-    #[test]
-    fn touch_is_symmetric() {
-        let pairs = [
-            (Cell::new(2, 1, 1), Cell::new(4, 8, 8)),
-            (Cell::new(1, 1, 0), Cell::new(3, 3, 3)),
-            (Cell::new(3, 0, 0), Cell::new(3, 7, 7)),
-        ];
-        for (a, b) in pairs {
-            assert_eq!(regions_touch(a, b), regions_touch(b, a));
-        }
-    }
-}

@@ -20,13 +20,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod balance;
 pub mod cell;
 pub mod cell3d;
 pub mod compressed;
 pub mod interaction;
 
-pub use balance::LinearQuadtree;
-pub use cell::{regions_touch, Cell, NeighborList};
+pub use cell::{Cell, NeighborList};
 pub use compressed::CompressedQuadtree;
 pub use interaction::{interaction_list, InteractionList};
