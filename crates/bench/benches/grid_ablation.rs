@@ -1,16 +1,17 @@
-//! Ablation bench (BENCH_PR10.json): the dense occupancy index against the
-//! sparse cell-map fallback (`Assignment::without_dense_grid`).
+//! Ablation bench (BENCH_PR10.json): the dense rank table against the
+//! sparse one (`Assignment::with_dense_grid(.., false)`).
 //!
 //! Two views, both over one scaled-down Figure-6 workload:
 //!
 //! 1. **NFI scan kernel** — the radius-4 Chebyshev `nfi_acd` call, which
 //!    is exactly the code the dense grid rewrites: with the index, each
 //!    per-`dy` neighborhood row is one clipped contiguous `u32` slice; the
-//!    fallback probes the open-addressed cell map once per candidate cell.
+//!    sparse table probes its open-addressed cell map once per candidate
+//!    cell.
 //!    The BENCH_PR10 ≥1.2× claim is measured here.
-//! 2. **End to end** — `nfi_acd` + `ffi_acd_with_tree` together, where the
-//!    tree walk (which the grid does not touch) dilutes the win. Reported
-//!    for honesty.
+//! 2. **End to end** — `nfi_acd` + `ffi_acd_with_tree` together, each on
+//!    its own owner tree, whose levels take the form of its finest table.
+//!    Reported for honesty.
 //!
 //! Both configurations produce bit-identical results — asserted before
 //! timing. The harness hand-rolls its timing loop and prints one JSON
@@ -51,18 +52,24 @@ fn main() {
     let procs = 1024u64;
     let particles = workload.particles(0);
     let dense = Assignment::new(&particles, workload.grid_order, CurveKind::Hilbert, procs);
-    let sparse = dense.clone().without_dense_grid();
+    let sparse = Assignment::with_dense_grid(
+        &particles,
+        workload.grid_order,
+        CurveKind::Hilbert,
+        procs,
+        false,
+    );
     assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
     let machine = Machine::new(TopologyKind::Torus, procs, CurveKind::Hilbert);
-    let tree = OwnerTree::build(&dense);
+    let (dense_tree, sparse_tree) = (OwnerTree::build(&dense), OwnerTree::build(&sparse));
 
     // The guarantee BENCH_PR10.json cites: identical results either way.
     let nfi_dense = nfi_acd(&dense, &machine, RADIUS, Norm::Chebyshev).unwrap();
     let nfi_sparse = nfi_acd(&sparse, &machine, RADIUS, Norm::Chebyshev).unwrap();
     assert_eq!(nfi_dense, nfi_sparse, "NFI results diverge");
     assert_eq!(
-        ffi_acd_with_tree(&dense, &machine, &tree).unwrap(),
-        ffi_acd_with_tree(&sparse, &machine, &tree).unwrap(),
+        ffi_acd_with_tree(&dense, &machine, &dense_tree).unwrap(),
+        ffi_acd_with_tree(&sparse, &machine, &sparse_tree).unwrap(),
         "FFI results diverge",
     );
     eprintln!(
@@ -77,13 +84,13 @@ fn main() {
     let scan_speedup = scan_sparse / scan_dense;
     eprintln!("nfi_scan: dense {scan_dense:.1}us, cellmap {scan_sparse:.1}us, {scan_speedup:.2}x");
 
-    let e2e = |asg: &Assignment| {
+    let e2e = |asg: &Assignment, tree: &OwnerTree| {
         let nfi = nfi_acd(asg, &machine, RADIUS, Norm::Chebyshev).unwrap();
-        let ffi = ffi_acd_with_tree(asg, &machine, &tree).unwrap();
+        let ffi = ffi_acd_with_tree(asg, &machine, tree).unwrap();
         nfi.acd() + ffi.acd()
     };
-    let e2e_dense = median_us(|| e2e(&dense));
-    let e2e_sparse = median_us(|| e2e(&sparse));
+    let e2e_dense = median_us(|| e2e(&dense, &dense_tree));
+    let e2e_sparse = median_us(|| e2e(&sparse, &sparse_tree));
     let e2e_speedup = e2e_sparse / e2e_dense;
     eprintln!("end_to_end: dense {e2e_dense:.1}us, cellmap {e2e_sparse:.1}us, {e2e_speedup:.2}x");
 

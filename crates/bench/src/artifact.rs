@@ -19,17 +19,12 @@ use sfc_core::report::Table;
 use sfc_core::runner::SweepRunner;
 use sfc_core::{ArtifactKind, ExperimentSpec};
 
-/// Fast-path ablations: knobs that change how a sweep computes but never
-/// what it computes. This is the library's only ablation seam. The
-/// binaries, `sfc-serve` and the benchmark all pass the default; only
-/// tests set a field, to prove each fast path byte-identical to its
-/// fallback.
+/// The vestige of the ablation options [`compute`] used to take. It has no
+/// fields: the only ablation left, the sparse rank table, is a library
+/// seam of `Assignment`. It stays until ROADMAP item 2 removes the
+/// argument with the callers that pass it.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ComputeOpts {
-    /// Skip the dense occupancy grid and probe the sparse cell index per
-    /// neighborhood cell.
-    pub no_dense_grid: bool,
-}
+pub struct ComputeOpts {}
 
 /// The rendered artifact: everything below the banner line.
 #[derive(Debug, Clone)]
@@ -105,7 +100,7 @@ impl Body {
 /// Run the sweep `spec` describes through `runner` and render its artifact.
 pub fn compute(
     spec: &ExperimentSpec,
-    opts: &ComputeOpts,
+    _opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> ArtifactOutput {
     let mut body = Body::new();
@@ -116,7 +111,7 @@ pub fn compute(
             } else {
                 Interaction::FarField
             };
-            let grids = run_tables(spec, opts, runner);
+            let grids = run_tables(spec, runner);
             for grid in &grids {
                 body.push_table(&render_grid(grid, which));
             }
@@ -135,7 +130,7 @@ pub fn compute(
             body.into_output(crate::results::anns_data(&sweeps))
         }
         ArtifactKind::Figure6 => {
-            let sweep = run_topology_sweep(spec, opts, runner);
+            let sweep = run_topology_sweep(spec, runner);
             for near_field in [true, false] {
                 body.push_table(&render_topology(&sweep, near_field));
             }
@@ -143,7 +138,7 @@ pub fn compute(
             body.into_output(crate::results::topology_data(&sweep))
         }
         ArtifactKind::Figure7 => {
-            let sweep = run_processor_sweep(spec, opts, runner);
+            let sweep = run_processor_sweep(spec, runner);
             for near_field in [true, false] {
                 body.push_table(&render_processors(&sweep, near_field));
             }
@@ -151,9 +146,9 @@ pub fn compute(
         }
         ArtifactKind::Parametric => {
             let tables = [
-                run_radius_sweep(spec, opts, runner),
-                run_input_size_sweep(spec, opts, runner),
-                run_distribution_comparison(spec, opts, runner),
+                run_radius_sweep(spec, runner),
+                run_input_size_sweep(spec, runner),
+                run_distribution_comparison(spec, runner),
             ];
             for table in &tables {
                 body.push_table(table);
@@ -161,7 +156,7 @@ pub fn compute(
             body.into_output(crate::results::tables_data(&tables))
         }
         ArtifactKind::Extensions => {
-            let tables = crate::extensions::run_extensions(spec, opts, runner);
+            let tables = crate::extensions::run_extensions(spec, runner);
             for table in &tables {
                 body.push_table_plain(table);
             }
@@ -239,46 +234,26 @@ mod tests {
     }
 
     #[test]
-    fn ablations_are_byte_identical_at_every_job_count() {
-        // The dense occupancy index is a pure fast path: every artifact
-        // that consumes assignments renders identical bytes without it, on
-        // any number of cell workers.
-        let ablations = [
-            ("default", ComputeOpts::default()),
-            (
-                "no_dense_grid",
-                ComputeOpts {
-                    no_dense_grid: true,
-                },
-            ),
-        ];
+    fn artifacts_are_byte_identical_at_every_job_count() {
         for artifact in [
             ArtifactKind::Table1,
             ArtifactKind::Figure6,
             ArtifactKind::Figure7,
         ] {
-            let runs: Vec<(String, ArtifactOutput)> = ablations
-                .iter()
-                .flat_map(|(tag, opts)| {
-                    [1, 4].map(|jobs| {
-                        let options = RunnerOptions {
-                            jobs,
-                            ..RunnerOptions::new()
-                        };
-                        let mut runner = SweepRunner::new("ablation", &Value::Null, options)
-                            .expect("no journal to fail on");
-                        let out = compute(&spec(artifact), opts, &mut runner);
-                        assert!(runner.finish().complete(), "{artifact} {tag} jobs={jobs}");
-                        (format!("{tag} jobs={jobs}"), out)
-                    })
-                })
-                .collect();
-            let (_, base) = &runs[0];
-            for (run, out) in &runs[1..] {
-                assert_eq!(base.body_plain, out.body_plain, "{artifact} {run}");
-                assert_eq!(base.body_markdown, out.body_markdown, "{artifact} {run}");
-                assert_eq!(base.data, out.data, "{artifact} {run}");
-            }
+            let [one, four] = [1, 4].map(|jobs| {
+                let options = RunnerOptions {
+                    jobs,
+                    ..RunnerOptions::new()
+                };
+                let mut runner =
+                    SweepRunner::new("jobs", &Value::Null, options).expect("no journal to fail on");
+                let out = compute(&spec(artifact), &ComputeOpts::default(), &mut runner);
+                assert!(runner.finish().complete(), "{artifact} jobs={jobs}");
+                out
+            });
+            assert_eq!(one.body_plain, four.body_plain, "{artifact}");
+            assert_eq!(one.body_markdown, four.body_markdown, "{artifact}");
+            assert_eq!(one.data, four.data, "{artifact}");
         }
     }
 }

@@ -14,7 +14,6 @@
 //! recorded here, and every kernel error is a typed [`SfcError`] the
 //! runner fails on the first attempt.
 
-use crate::artifact::ComputeOpts;
 use sfc_core::ffi::{ffi_acd_on, OwnerTree};
 use sfc_core::load::{nfi_link_load, LinkLoad};
 use sfc_core::nfi::nfi_acd_on;
@@ -78,8 +77,6 @@ pub(crate) enum Measure {
 /// What every cell of one sweep shares.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pipeline<'a> {
-    /// Fast-path switches; the values never depend on them.
-    pub(crate) opts: &'a ComputeOpts,
     /// The machines each cell is measured on.
     pub(crate) machines: Machines<'a>,
     /// The kernels measured on each machine.
@@ -105,7 +102,7 @@ impl Pipeline<'_> {
         let points = timing::phase("sample", || particles.get(t));
         let asg = timing::phase("assign", || {
             let order = particles.workload.grid_order;
-            Assignment::with_dense_grid(points, order, curve, ranks, !self.opts.no_dense_grid)
+            Assignment::new(points, order, curve, ranks)
         });
         let tree = (self.measure == Measure::NfiFfi)
             .then(|| timing::phase("index", || OwnerTree::build(&asg)));

@@ -21,7 +21,6 @@
 //! message is heavy); the fixed 3-D and clustering side experiments are
 //! constants of the artifact family itself.
 
-use crate::artifact::ComputeOpts;
 use crate::cell::{Machines, Measure, Pipeline, TrialCache};
 use sfc_core::anns::{anns, anns_cyclic};
 use sfc_core::anns3d::anns3d;
@@ -63,18 +62,13 @@ fn f0(v: f64) -> String {
 }
 
 /// Run the five extension studies, returning their tables in render order.
-pub fn run_extensions(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> Vec<Table> {
+pub fn run_extensions(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Vec<Table> {
     // 1. Link congestion on the torus at the spec's (floored) Table I
     // configuration. Trial 0 feeds it, trial 1 the closed-curve study.
     let workload = spec.workload(spec.distributions[0]);
     let particles = TrialCache::new(workload, 2);
     let procs = spec.processors[0];
     let link_loads = Pipeline {
-        opts,
         machines: Machines::Build(&[TopologyKind::Torus]),
         measure: Measure::LinkLoad,
         radius: spec.radii[0],
@@ -270,11 +264,7 @@ mod tests {
     #[test]
     fn extensions_produce_five_tables() {
         let spec = ExperimentSpec::extensions(5, 1, 20130701);
-        let tables = run_extensions(
-            &spec,
-            &ComputeOpts::default(),
-            &mut SweepRunner::ephemeral(),
-        );
+        let tables = run_extensions(&spec, &mut SweepRunner::ephemeral());
         assert_eq!(tables.len(), 5);
         assert!(tables[0].title().contains("link congestion"));
         assert!(tables[4].title().contains("Moore"));

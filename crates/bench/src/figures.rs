@@ -9,7 +9,6 @@
 //! `—`. The ACD sweeps measure their cells through the shared pipeline in
 //! `cell.rs`.
 
-use crate::artifact::ComputeOpts;
 use crate::cell::{fold, Grid, Machines, Measure, Pipeline, TrialCache};
 use sfc_core::anns::anns_radius;
 use sfc_core::report::Table;
@@ -124,13 +123,8 @@ pub const FIG6_RADIUS: u32 = 4;
 ///
 /// Cell `"t{trial}/{curve}"` produces twelve values: the (near-field,
 /// far-field) ACD pair on each of the six topologies, interleaved.
-pub fn run_topology_sweep(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> TopologySweep {
+pub fn run_topology_sweep(spec: &ExperimentSpec, runner: &mut SweepRunner) -> TopologySweep {
     let pipeline = Pipeline {
-        opts,
         machines: Machines::Build(&spec.topologies),
         measure: Measure::NfiFfi,
         radius: spec.radii[0],
@@ -201,13 +195,8 @@ pub struct ProcessorSweep {
 ///
 /// Cell `"t{trial}/{curve}/p{procs}"` produces the (near-field, far-field)
 /// ACD pair.
-pub fn run_processor_sweep(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> ProcessorSweep {
+pub fn run_processor_sweep(spec: &ExperimentSpec, runner: &mut SweepRunner) -> ProcessorSweep {
     let pipeline = Pipeline {
-        opts,
         machines: Machines::Build(&spec.topologies[..1]),
         measure: Measure::NfiFfi,
         radius: spec.radii[0],
@@ -281,7 +270,6 @@ struct StudyRow<'a> {
 /// columns, then the FFI columns.
 fn run_study<const K: usize>(
     spec: &ExperimentSpec,
-    opts: &ComputeOpts,
     runner: &mut SweepRunner,
     measure: Measure,
     mut table: Table,
@@ -290,7 +278,6 @@ fn run_study<const K: usize>(
     let mut cells = Vec::new();
     for row in rows {
         let pipeline = Pipeline {
-            opts,
             machines: Machines::Build(&[TopologyKind::Torus]),
             measure,
             radius: row.radius,
@@ -321,11 +308,7 @@ fn run_study<const K: usize>(
 
 /// NFI ACD as the neighborhood radius varies (torus, tied curves).
 /// Cell `"r{radius}/{curve}/t{trial}"` produces the single ACD value.
-pub fn run_radius_sweep(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> Table {
+pub fn run_radius_sweep(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Table {
     let particles = TrialCache::new(spec.workload(spec.distributions[0]), spec.trials);
     let rows: Vec<StudyRow> = spec
         .radii
@@ -340,17 +323,13 @@ pub fn run_radius_sweep(
     let mut header = vec!["Radius"];
     header.extend(CurveKind::PAPER.iter().map(|c| c.name()));
     let table = Table::new("Section VI-C — NFI ACD vs neighborhood radius", &header);
-    run_study::<1>(spec, opts, runner, Measure::Nfi, table, &rows)
+    run_study::<1>(spec, runner, Measure::Nfi, table, &rows)
 }
 
 /// ACD as the input size varies at a fixed processor count (torus, tied
 /// curves); near- and far-field rendered as two column groups.
 /// Cell `"n{particles}/{curve}/t{trial}"` produces the (NFI, FFI) pair.
-pub fn run_input_size_sweep(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> Table {
+pub fn run_input_size_sweep(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Table {
     let base = spec.workload(spec.distributions[0]);
     let caches: Vec<TrialCache> = spec
         .particle_counts
@@ -383,18 +362,14 @@ pub fn run_input_size_sweep(
         "Section VI-C — ACD vs input size (NFI columns then FFI columns)",
         &header,
     );
-    run_study::<2>(spec, opts, runner, Measure::NfiFfi, table, &rows)
+    run_study::<2>(spec, runner, Measure::NfiFfi, table, &rows)
 }
 
 /// ACD per distribution at the Table I/II configuration with tied curves —
 /// the Section VI-C observation that NFI is best under uniform inputs while
 /// FFI barely distinguishes the distributions.
 /// Cell `"{distribution}/{curve}/t{trial}"` produces the (NFI, FFI) pair.
-pub fn run_distribution_comparison(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> Table {
+pub fn run_distribution_comparison(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Table {
     let caches: Vec<TrialCache> = spec
         .distributions
         .iter()
@@ -424,7 +399,7 @@ pub fn run_distribution_comparison(
         "Section VI-C — ACD by input distribution (tied curves)",
         &header,
     );
-    run_study::<2>(spec, opts, runner, Measure::NfiFfi, table, &rows)
+    run_study::<2>(spec, runner, Measure::NfiFfi, table, &rows)
 }
 
 #[cfg(test)]
@@ -434,10 +409,6 @@ mod tests {
     // scale 5: 128x128 fig6 grid, ~976 particles, 64 processors.
     fn tiny_spec(artifact: sfc_core::ArtifactKind) -> ExperimentSpec {
         ExperimentSpec::for_artifact(artifact, 5, 1, 3)
-    }
-
-    fn opts() -> ComputeOpts {
-        ComputeOpts::default()
     }
 
     #[test]
@@ -463,7 +434,6 @@ mod tests {
     fn topology_sweep_runs_all_six() {
         let sweep = run_topology_sweep(
             &tiny_spec(sfc_core::ArtifactKind::Figure6),
-            &opts(),
             &mut SweepRunner::ephemeral(),
         );
         assert_eq!(sweep.topologies.len(), 6);
@@ -480,7 +450,6 @@ mod tests {
         // shrink as p grows (fixed workload).
         let sweep = run_processor_sweep(
             &tiny_spec(sfc_core::ArtifactKind::Figure7),
-            &opts(),
             &mut SweepRunner::ephemeral(),
         );
         assert!(sweep.processors.len() >= 2);
@@ -498,7 +467,7 @@ mod tests {
     fn radius_sweep_radii_increase_acd_weakly() {
         let mut spec = tiny_spec(sfc_core::ArtifactKind::Parametric);
         spec.radii = vec![1, 2];
-        let table = run_radius_sweep(&spec, &opts(), &mut SweepRunner::ephemeral());
+        let table = run_radius_sweep(&spec, &mut SweepRunner::ephemeral());
         assert_eq!(table.num_rows(), 2);
     }
 
@@ -507,7 +476,7 @@ mod tests {
         let mut spec = tiny_spec(sfc_core::ArtifactKind::Parametric);
         spec.radii = vec![0, 1];
         let mut runner = SweepRunner::ephemeral();
-        let table = run_radius_sweep(&spec, &opts(), &mut runner);
+        let table = run_radius_sweep(&spec, &mut runner);
         assert_eq!(table.rows()[0], ["0", "—", "—", "—", "—"]);
         assert!(table.rows()[1][1..].iter().all(|v| v != "—"));
         let summary = runner.finish();
@@ -523,7 +492,6 @@ mod tests {
     fn distribution_comparison_rows() {
         let table = run_distribution_comparison(
             &tiny_spec(sfc_core::ArtifactKind::Parametric),
-            &opts(),
             &mut SweepRunner::ephemeral(),
         );
         assert_eq!(table.num_rows(), 3);
@@ -535,7 +503,7 @@ mod tests {
     fn input_size_sweep_rows() {
         let mut spec = tiny_spec(sfc_core::ArtifactKind::Parametric);
         spec.particle_counts = vec![200, 400];
-        let table = run_input_size_sweep(&spec, &opts(), &mut SweepRunner::ephemeral());
+        let table = run_input_size_sweep(&spec, &mut SweepRunner::ephemeral());
         assert_eq!(table.num_rows(), 2);
     }
 
@@ -549,11 +517,7 @@ mod tests {
         };
         args.time_budget = Some(0);
         let mut runner = crate::harness::runner("figure7", &args);
-        let sweep = run_processor_sweep(
-            &tiny_spec(sfc_core::ArtifactKind::Figure7),
-            &opts(),
-            &mut runner,
-        );
+        let sweep = run_processor_sweep(&tiny_spec(sfc_core::ArtifactKind::Figure7), &mut runner);
         assert!(sweep.nfi.iter().flatten().all(|s| s.is_none()));
         let text = render_processors(&sweep, true).render();
         assert!(text.contains('—'));

@@ -288,7 +288,6 @@ pub fn write_json(path: &str, value: &Value) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::artifact::ComputeOpts;
     use crate::figures::run_anns_sweep;
     use crate::tables::run_distribution;
     use sfc_core::runner::{FailedCell, SweepRunner};
@@ -317,7 +316,6 @@ mod tests {
         let grid = run_distribution(
             DistributionKind::Uniform.default_params(),
             &spec,
-            &ComputeOpts::default(),
             &mut SweepRunner::ephemeral(),
         );
         let v = envelope("table1", &spec, &done(), grid_data(&[grid]));

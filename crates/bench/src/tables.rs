@@ -14,7 +14,6 @@
 //! owner tree) once and evaluates it against the four processor-order
 //! machines, so the work sharing matches the original monolithic loop.
 
-use crate::artifact::ComputeOpts;
 use crate::cell::{fold, Grid, Machines, Measure, Pipeline, TrialCache};
 use sfc_core::report::Table;
 use sfc_core::runner::{BatchCell, SweepRunner};
@@ -38,15 +37,11 @@ pub struct CurvePairGrid {
 /// Run the Table I/II experiment for every distribution in the spec. The
 /// four processor-order machines are built once and shared by every
 /// distribution.
-pub fn run_tables(
-    spec: &ExperimentSpec,
-    opts: &ComputeOpts,
-    runner: &mut SweepRunner,
-) -> Vec<CurvePairGrid> {
+pub fn run_tables(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Vec<CurvePairGrid> {
     let machines = machines(spec);
     spec.distributions
         .iter()
-        .map(|&dist| run_grid(dist, spec, opts, &machines, runner))
+        .map(|&dist| run_grid(dist, spec, &machines, runner))
         .collect()
 }
 
@@ -58,10 +53,9 @@ pub fn run_tables(
 pub fn run_distribution(
     dist: Distribution,
     spec: &ExperimentSpec,
-    opts: &ComputeOpts,
     runner: &mut SweepRunner,
 ) -> CurvePairGrid {
-    run_grid(dist, spec, opts, &machines(spec), runner)
+    run_grid(dist, spec, &machines(spec), runner)
 }
 
 /// The spec's processor-order machines, one per curve.
@@ -76,12 +70,10 @@ fn machines(spec: &ExperimentSpec) -> Vec<Machine> {
 fn run_grid(
     dist: Distribution,
     spec: &ExperimentSpec,
-    opts: &ComputeOpts,
     machines: &[Machine],
     runner: &mut SweepRunner,
 ) -> CurvePairGrid {
     let pipeline = Pipeline {
-        opts,
         machines: Machines::Shared(machines),
         measure: Measure::NfiFfi,
         radius: spec.radii[0],
@@ -189,7 +181,6 @@ mod tests {
         run_distribution(
             dist.default_params(),
             &tiny_spec(),
-            &ComputeOpts::default(),
             &mut SweepRunner::ephemeral(),
         )
     }
@@ -250,7 +241,6 @@ mod tests {
         let grid = run_distribution(
             DistributionKind::Uniform.default_params(),
             &tiny_spec(),
-            &ComputeOpts::default(),
             &mut runner,
         );
         assert!(grid.nfi[0][0].is_none());

@@ -4,34 +4,35 @@
 //! An [`Assignment`] captures the result of ordering the input particles by
 //! a particle-order SFC, partitioning the ordered sequence into `p`
 //! consecutive chunks of `⌈n/p⌉`, and handing chunk `i` to processor rank
-//! `i`. It also indexes the occupied cells for O(1) "which rank owns cell
-//! `(x, y)`?" queries, which both interaction models issue in their inner
-//! loops.
+//! `i`. It also holds the finest level's rank table, one [`GridIndex`], for
+//! the "which rank owns cell `(x, y)`?" queries both interaction models
+//! issue in their inner loops. The index is dense up to
+//! [`MAX_GRID_CELLS`](sfc_particles::MAX_GRID_CELLS) cells and sparse
+//! above; the far-field owner tree shares it as its finest level.
 
 use sfc_curves::{CurveKind, Point2};
-use sfc_particles::cellmap::{pack_cell, CellMap};
 use sfc_particles::GridIndex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Process-wide count of assignments that built the dense [`GridIndex`]
-/// fast path (see [`dense_grid_builds`]).
+/// Process-wide count of assignments whose index is dense (see
+/// [`dense_grid_builds`]).
 static DENSE_GRID_BUILDS: AtomicU64 = AtomicU64::new(0);
 
-/// Process-wide count of assignments that stayed on the sparse `CellMap`
-/// probe path (see [`cellmap_fallbacks`]).
+/// Process-wide count of assignments whose index is sparse (see
+/// [`cellmap_fallbacks`]).
 static CELLMAP_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 
-/// How many assignments built the dense occupancy index since process
-/// start. Together with [`cellmap_fallbacks`] this feeds the `sfc_bench`
+/// How many assignments built a dense rank table since process start.
+/// Together with [`cellmap_fallbacks`] this feeds the `sfc_bench`
 /// observability gauges and the `--timing` envelope.
 pub fn dense_grid_builds() -> u64 {
     DENSE_GRID_BUILDS.load(Ordering::Relaxed)
 }
 
-/// How many assignments used the `CellMap` probe path instead of the dense
-/// index — grids above the [`sfc_particles::MAX_GRID_CELLS`] cap or
-/// dense-grid ablation runs.
+/// How many assignments built a sparse rank table instead: grids above
+/// the [`sfc_particles::MAX_GRID_CELLS`] cap, or
+/// `with_dense_grid(.., false)`.
 pub fn cellmap_fallbacks() -> u64 {
     CELLMAP_FALLBACKS.load(Ordering::Relaxed)
 }
@@ -45,15 +46,9 @@ pub struct Assignment {
     chunk: usize,
     /// Particles sorted by their particle-order SFC index.
     particles: Vec<Point2>,
-    /// Rank of occupied cell, keyed by packed cell coordinates. Always
-    /// present: the fallback when the dense index is over-cap or ablated.
-    /// Shared with the far-field owner tree, which answers finest-level
-    /// `owner` queries from it.
-    cell_rank: Arc<CellMap>,
-    /// Dense occupancy fast path: one indexed load per cell query, whole
-    /// rows for segment scans. `None` above the cell cap (or when ablated);
-    /// both paths answer identically.
-    grid: Option<GridIndex>,
+    /// Rank of every occupied cell. Shared with the far-field owner tree,
+    /// whose finest level it is.
+    grid: Arc<GridIndex>,
 }
 
 impl Assignment {
@@ -64,10 +59,10 @@ impl Assignment {
         Self::with_dense_grid(particles, grid_order, curve, num_ranks, true)
     }
 
-    /// [`Assignment::new`] with explicit control over the dense occupancy
-    /// index: `dense = false` skips building it entirely (the dense-grid
-    /// ablation), leaving every lookup on the `CellMap`
-    /// probe path. Results are bit-identical either way.
+    /// [`Assignment::new`] with explicit control over the rank table:
+    /// `dense = false` builds the sparse form even where the dense one
+    /// fits (the dense-grid ablation). Results are bit-identical either
+    /// way.
     pub fn with_dense_grid(
         particles: &[Point2],
         grid_order: u32,
@@ -88,25 +83,18 @@ impl Assignment {
         sorted.sort_unstable_by_key(|&(idx, _)| idx);
         let n = sorted.len();
         let chunk = n.div_ceil(num_ranks as usize);
-        let mut cell_rank = CellMap::with_capacity(n);
-        // `GridIndex::new` is the cap gate: over-cap grids get `None` and
-        // silently keep the probe path.
         let mut grid = if dense {
-            GridIndex::new(grid_order)
+            GridIndex::new(grid_order, n)
         } else {
-            None
+            GridIndex::sparse(grid_order, n)
         };
         let mut ordered = Vec::with_capacity(n);
         for (i, &(_, p)) in sorted.iter().enumerate() {
-            let rank = (i / chunk) as u32;
-            let prev = cell_rank.insert_first(pack_cell(p.x, p.y), rank);
+            let prev = grid.insert_first(p.x, p.y, (i / chunk) as u32);
             assert!(prev.is_none(), "duplicate particle cell {p}");
-            if let Some(g) = &mut grid {
-                g.insert(p.x, p.y, rank);
-            }
             ordered.push(p);
         }
-        if grid.is_some() {
+        if grid.is_dense() {
             DENSE_GRID_BUILDS.fetch_add(1, Ordering::Relaxed);
         } else {
             CELLMAP_FALLBACKS.fetch_add(1, Ordering::Relaxed);
@@ -117,27 +105,23 @@ impl Assignment {
             num_ranks,
             chunk,
             particles: ordered,
-            cell_rank: Arc::new(cell_rank),
-            grid,
+            grid: Arc::new(grid),
         }
     }
 
-    /// Drop the dense occupancy index, forcing every cell query onto the
-    /// `CellMap` probe path (for ablation and verification).
-    pub fn without_dense_grid(mut self) -> Self {
-        self.grid = None;
-        self
-    }
-
-    /// True if this assignment carries the dense occupancy fast path.
+    /// True if this assignment's rank table is dense.
     pub fn has_dense_grid(&self) -> bool {
-        self.grid.is_some()
+        self.grid.is_dense()
     }
 
-    /// Bytes held by the dense occupancy table, or 0 on the fallback path —
-    /// the memory-envelope number the `MAX_GRID_CELLS` cap bounds.
+    /// Bytes held by the dense rank table, or 0 when it is sparse — the
+    /// memory-envelope number the `MAX_GRID_CELLS` cap bounds.
     pub fn dense_grid_bytes(&self) -> usize {
-        self.grid.as_ref().map_or(0, GridIndex::table_bytes)
+        if self.grid.is_dense() {
+            self.grid.table_bytes()
+        } else {
+            0
+        }
     }
 
     /// Grid order `k` of the spatial resolution.
@@ -179,38 +163,16 @@ impl Assignment {
     }
 
     /// Rank owning the particle in cell `(x, y)`, or `None` if the cell is
-    /// empty. One indexed load on the dense fast path, a hash probe on the
-    /// fallback.
+    /// empty.
     #[inline]
     pub fn rank_of_cell(&self, x: u32, y: u32) -> Option<u32> {
-        match &self.grid {
-            Some(g) => g.rank_of(x, y),
-            None => self.cell_rank.get(pack_cell(x, y)),
-        }
+        self.grid.rank_of(x, y)
     }
 
-    /// True if cell `(x, y)` holds a particle.
-    #[inline]
-    pub fn is_occupied(&self, x: u32, y: u32) -> bool {
-        match &self.grid {
-            Some(g) => g.is_occupied(x, y),
-            None => self.cell_rank.contains(pack_cell(x, y)),
-        }
-    }
-
-    /// The cell → rank map behind [`Assignment::rank_of_cell`]'s fallback,
-    /// shared rather than copied.
-    pub(crate) fn cell_map(&self) -> &Arc<CellMap> {
-        &self.cell_rank
-    }
-
-    /// The dense rank row at height `y` (`row[x]` is the owner of cell
-    /// `(x, y)` or [`GridIndex::EMPTY`]), or `None` on the fallback path.
-    /// Kernels use this to turn `O(r²)` per-cell probes into per-`dy`
-    /// contiguous row-segment scans.
-    #[inline]
-    pub fn rank_row(&self, y: u32) -> Option<&[u32]> {
-        self.grid.as_ref().map(|g| g.rank_row(y))
+    /// The rank table behind [`Assignment::rank_of_cell`], shared rather
+    /// than copied.
+    pub(crate) fn grid(&self) -> &Arc<GridIndex> {
+        &self.grid
     }
 }
 
@@ -264,8 +226,6 @@ mod tests {
             assert_eq!(asg.rank_of_cell(p.x, p.y), Some(asg.rank_of_index(i)));
         }
         assert_eq!(asg.rank_of_cell(3, 3), None);
-        assert!(!asg.is_occupied(3, 3));
-        assert!(asg.is_occupied(2, 2));
     }
 
     #[test]
@@ -280,34 +240,13 @@ mod tests {
     }
 
     #[test]
-    fn small_assignments_carry_a_dense_grid_and_it_can_be_ablated() {
-        let particles = pts(&[(0, 0), (1, 0), (3, 3)]);
-        let asg = Assignment::new(&particles, 2, CurveKind::Hilbert, 2);
-        assert!(asg.has_dense_grid());
-        assert_eq!(asg.dense_grid_bytes(), 4 * 4 * 4);
-        let row = asg.rank_row(0).unwrap();
-        assert_eq!(row.len(), 4);
-        assert!(row[0] != u32::MAX && row[1] != u32::MAX);
-        assert_eq!(row[2], u32::MAX);
-
-        let ablated = asg.clone().without_dense_grid();
-        assert!(!ablated.has_dense_grid());
-        assert_eq!(ablated.dense_grid_bytes(), 0);
-        assert!(ablated.rank_row(0).is_none());
-        for x in 0..4 {
-            for y in 0..4 {
-                assert_eq!(asg.rank_of_cell(x, y), ablated.rank_of_cell(x, y));
-                assert_eq!(asg.is_occupied(x, y), ablated.is_occupied(x, y));
-            }
-        }
-    }
-
-    #[test]
-    fn dense_and_fallback_constructors_agree() {
+    fn dense_and_sparse_tables_agree() {
         let particles = pts(&[(0, 0), (5, 2), (7, 7), (3, 4), (1, 6)]);
         let dense = Assignment::new(&particles, 3, CurveKind::ZCurve, 4);
         let sparse = Assignment::with_dense_grid(&particles, 3, CurveKind::ZCurve, 4, false);
         assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
+        assert_eq!(dense.dense_grid_bytes(), 8 * 8 * 4);
+        assert_eq!(sparse.dense_grid_bytes(), 0);
         assert_eq!(dense.particles(), sparse.particles());
         for x in 0..8 {
             for y in 0..8 {
@@ -317,18 +256,18 @@ mod tests {
     }
 
     #[test]
-    fn above_the_cell_cap_the_fallback_is_automatic_and_identical() {
+    fn above_the_cell_cap_the_table_is_sparse_and_identical() {
         // Order 13 is one past the 1 << 24 cell cap: the dense table would
-        // be 256 MiB, so the assignment silently keeps the CellMap.
+        // be 256 MiB, so the assignment builds the sparse one.
         let particles = pts(&[(0, 0), (8191, 8191), (4096, 17)]);
         let asg = Assignment::new(&particles, 13, CurveKind::Hilbert, 3);
         assert!(!asg.has_dense_grid());
-        assert!(asg.rank_row(0).is_none());
-        for &p in &particles {
-            assert!(asg.is_occupied(p.x, p.y));
+        assert_eq!(asg.dense_grid_bytes(), 0);
+        for (i, p) in asg.particles().iter().enumerate() {
+            assert_eq!(asg.rank_of_cell(p.x, p.y), Some(asg.rank_of_index(i)));
         }
         assert_eq!(asg.rank_of_cell(123, 456), None);
-        // Just below is order 12, which builds the table.
+        // Just below is order 12, which builds the dense table.
         let small = Assignment::new(&pts(&[(0, 0)]), 12, CurveKind::Hilbert, 1);
         assert!(small.has_dense_grid());
         assert_eq!(small.dense_grid_bytes(), 64 << 20);

@@ -19,16 +19,16 @@
 //! families; the per-family sums are reported separately so experiments can
 //! break the total down.
 //!
-//! Owners live in a dense min-rank pyramid ([`OwnerTree`]). Level `k` is
-//! the assignment's own rank index, read in place (one particle per cell).
-//! Each coarser level is a flat table, the 2×2 minimum of the level below:
-//! a third of the `GridIndex` bytes, 21.3 MiB at Figure 6's order 12.
+//! Owners live in a min-rank pyramid ([`OwnerTree`]), one [`GridIndex`]
+//! per level. Level `k` is the assignment's own index, shared (one
+//! particle per cell). Each coarser level holds the 2×2 minimum of the
+//! level below, in the same form: dense under a dense finest level, a
+//! third of its bytes (21.3 MiB at Figure 6's order 12), and sparse under
+//! a sparse one (over [`MAX_GRID_CELLS`](sfc_particles::MAX_GRID_CELLS),
+//! or built with `with_dense_grid(.., false)`), so memory stays `O(n·k)`.
 //! Interpolation is one parent-slot load; an interaction list is the
 //! parent's 6×6 block of children minus the cell's own 3×3, scanned as row
-//! segments by the primitive NFI uses. An assignment without a dense grid
-//! (over [`MAX_GRID_CELLS`](sfc_particles::MAX_GRID_CELLS), or ablated)
-//! keeps every level sparse, so memory stays `O(n·k)`, and the scans take
-//! the primitive's probe branch instead.
+//! segments by the primitive NFI uses.
 //!
 //! The interaction-list relation is symmetric: `b` is in `a`'s list
 //! exactly when `a` is in `b`'s. So each cell scans only the list cells
@@ -40,15 +40,15 @@
 //! interpolation and interaction-list messages are counted per receiver in
 //! two separate counters, so every [`FfiResult`] field stays exact, and each
 //! distinct pair is evaluated once per machine (see the `scan` module). A
-//! sender's cells are visited in one run: the finest level is already in
-//! rank order, and each coarse level is bucketed by owner with a counting
-//! sort into per-thread scratch.
+//! sender's cells are visited in one run: the finest level is walked in
+//! particle order, which is rank order, and each coarse level is bucketed
+//! by owner with a counting sort into per-thread scratch.
 
 use crate::assignment::Assignment;
 use crate::error::SfcError;
 use crate::machine::Machine;
-use crate::scan::{scan_row, with_scratch, PairSink, RankRows, Totals};
-use sfc_particles::cellmap::{pack_cell, unpack_cell, CellMap};
+use crate::scan::{scan_row, with_scratch, PairSink, Totals};
+use sfc_particles::cellmap::{pack_cell, unpack_cell};
 use sfc_particles::GridIndex;
 use sfc_quadtree::Cell;
 use std::sync::Arc;
@@ -111,125 +111,49 @@ impl FfiResult {
     }
 }
 
-/// One coarse level `l < k` of the owner pyramid.
-enum Table {
-    /// `2^l × 2^l` min-rank slots, row-major, [`GridIndex::EMPTY`] if
-    /// empty, and the side `2^l`.
-    Dense(Box<[u32]>, usize),
-    /// Occupied cells by packed coordinates, for assignments without a
-    /// dense grid.
-    Sparse(CellMap),
-}
-
-/// One level as the kernels read it.
-#[derive(Clone, Copy)]
-enum Level<'a> {
-    /// Level `k`: the assignment's own index, read in place.
-    Finest(&'a Assignment),
-    /// A level of the pyramid.
-    Coarse(&'a Table),
-}
-
-impl Level<'_> {
-    /// Call `f(x, y, owner)` for every occupied cell, in no set order.
-    fn for_each_occupied(self, mut f: impl FnMut(u32, u32, u32)) {
-        match self {
-            Level::Finest(asg) => {
-                for (i, p) in asg.particles().iter().enumerate() {
-                    f(p.x, p.y, asg.rank_of_index(i));
-                }
-            }
-            Level::Coarse(Table::Dense(ranks, side)) => {
-                for (y, row) in ranks.chunks_exact(*side).enumerate() {
-                    for (x, &rank) in row.iter().enumerate() {
-                        if rank != GridIndex::EMPTY {
-                            f(x as u32, y as u32, rank);
-                        }
-                    }
-                }
-            }
-            Level::Coarse(Table::Sparse(map)) => {
-                for (key, rank) in map.iter() {
-                    let (x, y) = unpack_cell(key);
-                    f(x, y, rank);
-                }
-            }
-        }
+/// Call `f(x, y, owner)` for every occupied cell of `level`, each owner's
+/// cells in one run. Owners are below `ranks`. The cells are bucketed by
+/// owner with a counting sort through `order` and `starts`.
+fn for_each_by_owner(
+    level: &GridIndex,
+    ranks: usize,
+    order: &mut Vec<u64>,
+    starts: &mut Vec<usize>,
+    mut f: impl FnMut(u32, u32, u32),
+) {
+    // `starts[r]` becomes the first slot of owner `r`'s bucket, then,
+    // after the scatter, the first slot past it.
+    starts.clear();
+    starts.resize(ranks + 1, 0);
+    level.for_each_occupied(|_, _, rank| starts[rank as usize + 1] += 1);
+    for r in 1..=ranks {
+        starts[r] += starts[r - 1];
     }
-
-    /// Call `f(x, y, owner)` for every occupied cell, each owner's cells in
-    /// one run. Owners are below `ranks`. The finest level is in particle
-    /// order, which is rank order; a coarse level is bucketed by owner with
-    /// a counting sort through `order` and `starts`.
-    fn for_each_by_owner(
-        self,
-        ranks: usize,
-        order: &mut Vec<u64>,
-        starts: &mut Vec<usize>,
-        mut f: impl FnMut(u32, u32, u32),
-    ) {
-        if let Level::Finest(_) = self {
-            return self.for_each_occupied(f);
+    order.clear();
+    order.resize(starts[ranks], 0);
+    level.for_each_occupied(|x, y, rank| {
+        let slot = &mut starts[rank as usize];
+        order[*slot] = pack_cell(x, y);
+        *slot += 1;
+    });
+    let mut begin = 0;
+    for (rank, &end) in starts[..ranks].iter().enumerate() {
+        for &key in &order[begin..end] {
+            let (x, y) = unpack_cell(key);
+            f(x, y, rank as u32);
         }
-        // `starts[r]` becomes the first slot of owner `r`'s bucket, then,
-        // after the scatter, the first slot past it.
-        starts.clear();
-        starts.resize(ranks + 1, 0);
-        self.for_each_occupied(|_, _, rank| starts[rank as usize + 1] += 1);
-        for r in 1..=ranks {
-            starts[r] += starts[r - 1];
-        }
-        order.clear();
-        order.resize(starts[ranks], 0);
-        self.for_each_occupied(|x, y, rank| {
-            let slot = &mut starts[rank as usize];
-            order[*slot] = pack_cell(x, y);
-            *slot += 1;
-        });
-        let mut begin = 0;
-        for (rank, &end) in starts[..ranks].iter().enumerate() {
-            for &key in &order[begin..end] {
-                let (x, y) = unpack_cell(key);
-                f(x, y, rank as u32);
-            }
-            begin = end;
-        }
-    }
-}
-
-impl RankRows for Level<'_> {
-    #[inline]
-    fn row(&self, y: u32) -> Option<&[u32]> {
-        match *self {
-            Level::Finest(asg) => RankRows::row(asg, y),
-            Level::Coarse(Table::Dense(ranks, side)) => Some(&ranks[y as usize * side..][..*side]),
-            Level::Coarse(Table::Sparse(_)) => None,
-        }
-    }
-
-    #[inline]
-    fn probe(&self, x: u32, y: u32) -> Option<u32> {
-        match *self {
-            Level::Finest(asg) => RankRows::probe(asg, x, y),
-            Level::Coarse(Table::Dense(ranks, side)) => {
-                Some(ranks[y as usize * side + x as usize]).filter(|&r| r != GridIndex::EMPTY)
-            }
-            Level::Coarse(Table::Sparse(map)) => map.get(pack_cell(x, y)),
-        }
+        begin = end;
     }
 }
 
 /// The per-level ownership index the far-field model walks: the lowest
-/// rank holding a particle in each cell of each level `0 ..= k`, as a dense
+/// rank holding a particle in each cell of each level `0 ..= k`, as a
 /// min-rank pyramid (see the module docs).
 pub struct OwnerTree {
-    /// Levels `0 .. k`; level `k` is the assignment's own index.
-    coarse: Vec<Table>,
-    /// Occupied cells per level `0 ..= k`.
-    lens: Vec<usize>,
-    /// The assignment's cell → rank map, shared so [`OwnerTree::owner`]
-    /// answers finest-level queries without a copy.
-    finest: Arc<CellMap>,
+    /// Levels `0 .. k`, each the 2×2 minimum of the level below.
+    coarse: Vec<GridIndex>,
+    /// Level `k`: the assignment's own index, shared.
+    finest: Arc<GridIndex>,
 }
 
 impl OwnerTree {
@@ -237,92 +161,62 @@ impl OwnerTree {
     pub fn build(asg: &Assignment) -> Self {
         let mut tree = OwnerTree {
             coarse: Vec::new(),
-            lens: Vec::new(),
-            finest: Arc::clone(asg.cell_map()),
+            finest: Arc::clone(asg.grid()),
         };
         tree.rebuild(asg);
         tree
     }
 
-    /// Rebuild the tree for a new assignment *in place*. At an unchanged
-    /// grid order and a dense grid this reuses every table and allocates
-    /// nothing.
+    /// Rebuild the tree for a new assignment *in place*. Level `l` always
+    /// has side `2^l`, so with a dense index every level the last
+    /// assignment had is reused, and at an unchanged grid order this
+    /// allocates nothing.
     pub fn rebuild(&mut self, asg: &Assignment) {
         let k = asg.grid_order() as usize;
-        // Coarse levels are dense exactly when the finest is: they are
-        // smaller, so they are under the cap whenever it is.
-        let dense = asg.has_dense_grid();
-        self.finest = Arc::clone(asg.cell_map());
-        self.lens.clear();
-        self.lens.resize(k + 1, asg.particles().len());
-        self.coarse.truncate(k);
-        if self
-            .coarse
-            .first()
-            .is_some_and(|t| matches!(t, Table::Dense(..)) != dense)
-        {
-            self.coarse.clear();
-        }
-        while self.coarse.len() < k {
-            let side = 1usize << self.coarse.len();
-            self.coarse.push(if dense {
-                Table::Dense(vec![GridIndex::EMPTY; side * side].into(), side)
-            } else {
-                Table::Sparse(CellMap::with_capacity(0))
-            });
-        }
-        // Each level is the 2×2 minimum of the one below. EMPTY is
-        // `u32::MAX`, the identity of `min`, so empty children drop out.
+        self.finest = Arc::clone(asg.grid());
+        // New levels start as empty placeholders; `clear_as_parent_of`
+        // gives each the shape of the level it summarizes.
+        self.coarse.resize_with(k, || GridIndex::sparse(0, 0));
         for level in (0..k).rev() {
             let (dst, below) = self.coarse.split_at_mut(level + 1);
-            let below = below.first().map_or(Level::Finest(asg), Level::Coarse);
-            let len = &mut self.lens[level];
-            match &mut dst[level] {
-                Table::Dense(ranks, side) => {
-                    ranks.fill(GridIndex::EMPTY);
-                    *len = 0;
-                    below.for_each_occupied(|x, y, rank| {
-                        let slot = &mut ranks[(y >> 1) as usize * *side + (x >> 1) as usize];
-                        *len += usize::from(*slot == GridIndex::EMPTY);
-                        *slot = (*slot).min(rank);
-                    });
+            let table = &mut dst[level];
+            let finer = below.first().unwrap_or(&self.finest);
+            table.clear_as_parent_of(finer);
+            let mut put = |x: u32, y: u32, rank| table.insert_min(x >> 1, y >> 1, rank);
+            if below.is_empty() {
+                // Under the finest level, walk the `n` particles rather
+                // than every cell of the grid.
+                for (i, p) in asg.particles().iter().enumerate() {
+                    put(p.x, p.y, asg.rank_of_index(i));
                 }
-                Table::Sparse(map) => {
-                    *map = CellMap::with_capacity(asg.particles().len());
-                    below.for_each_occupied(|x, y, rank| {
-                        map.insert_min(pack_cell(x >> 1, y >> 1), rank);
-                    });
-                    *len = map.len();
-                }
+            } else {
+                finer.for_each_occupied(put);
             }
         }
     }
 
     /// Number of levels (grid order + 1).
     pub fn num_levels(&self) -> usize {
-        self.lens.len()
+        self.coarse.len() + 1
     }
 
     /// Owner of the given cell, or `None` if it holds no particle.
     pub fn owner(&self, cell: Cell) -> Option<u32> {
-        match self.coarse.get(cell.level as usize) {
-            Some(table) => Level::Coarse(table).probe(cell.x, cell.y),
-            None if cell.level as usize == self.coarse.len() => {
-                self.finest.get(pack_cell(cell.x, cell.y))
-            }
-            None => panic!("{cell} is below the finest level"),
-        }
+        assert!(
+            cell.level as usize <= self.coarse.len(),
+            "{cell} is below the finest level"
+        );
+        self.level(cell.level).rank_of(cell.x, cell.y)
     }
 
     /// Number of occupied cells at a level.
     pub fn level_len(&self, level: u32) -> usize {
-        self.lens[level as usize]
+        self.level(level).len()
     }
 
-    /// Level `level` for the kernels, the finest read from `asg`.
-    fn level<'a>(&'a self, asg: &'a Assignment, level: u32) -> Level<'a> {
-        let coarse = self.coarse.get(level as usize);
-        coarse.map_or(Level::Finest(asg), Level::Coarse)
+    /// Level `level`, `0 ..= k`.
+    fn level(&self, level: u32) -> &GridIndex {
+        self.coarse.get(level as usize).unwrap_or(&self.finest)
     }
 }
 
@@ -416,26 +310,25 @@ pub fn ffi_traffic(
     interp: &mut impl PairSink,
     ilist: &mut impl PairSink,
 ) {
-    // The finest level is read from `asg`, the coarser ones from `tree`.
     assert!(
-        Arc::ptr_eq(&tree.finest, asg.cell_map()),
+        Arc::ptr_eq(&tree.finest, asg.grid()),
         "tree built from another assignment"
     );
     let ranks = asg.num_ranks();
+    let k = asg.grid_order();
     with_scratch(|scratch| {
         let [up, across] = &mut scratch.counts;
         up.reset(ranks);
         across.reset(ranks);
-        for level in 1..=asg.grid_order() {
-            let (cells, parents) = (tree.level(asg, level), tree.level(asg, level - 1));
+        for level in 1..=k {
+            let (cells, parents) = (tree.level(level), tree.level(level - 1));
             let side = 1u32 << level;
-            let (order, starts) = (&mut scratch.order, &mut scratch.starts);
-            cells.for_each_by_owner(ranks as usize, order, starts, |x, y, rank| {
+            let mut visit = |x: u32, y: u32, rank: u32| {
                 up.send_from(rank, interp);
                 across.send_from(rank, ilist);
                 // Interpolation: one parent-slot load.
                 let (px, py) = (x >> 1, y >> 1);
-                scan_row(&parents, py, px..px + 1, 0..0, up);
+                scan_row(parents, py, px..px + 1, 0..0, up);
                 // Interaction list: the children of the parent's 3×3
                 // neighborhood (a 6×6 block clipped at the grid edge) minus
                 // the cell's own 3×3, and of those only the cells after
@@ -445,13 +338,22 @@ pub fn ffi_traffic(
                 // whole. Empty at level 1, where the hole covers all.
                 let (bx, by) = (x & !1, y & !1);
                 let xs = bx.saturating_sub(2)..(bx + 4).min(side);
-                scan_row(&cells, y, (x + 2).min(xs.end)..xs.end, 0..0, across);
+                scan_row(cells, y, (x + 2).min(xs.end)..xs.end, 0..0, across);
                 let own = x.saturating_sub(1)..x + 2;
                 for ny in y + 1..(by + 4).min(side) {
                     let hole = if ny == y + 1 { own.clone() } else { 0..0 };
-                    scan_row(&cells, ny, xs.clone(), hole, across);
+                    scan_row(cells, ny, xs.clone(), hole, across);
                 }
-            });
+            };
+            if level == k {
+                // The particles are in curve order, which is rank order.
+                for (i, p) in asg.particles().iter().enumerate() {
+                    visit(p.x, p.y, asg.rank_of_index(i));
+                }
+            } else {
+                let (order, starts) = (&mut scratch.order, &mut scratch.starts);
+                for_each_by_owner(cells, ranks as usize, order, starts, &mut visit);
+            }
         }
         up.flush(interp);
         across.flush(ilist);
@@ -608,7 +510,7 @@ mod tests {
     fn dense_grid_on_and_off_agree() {
         let particles = pts(&[(0, 0), (3, 3), (5, 5), (7, 0), (2, 6), (6, 2), (1, 7)]);
         let dense = Assignment::new(&particles, 3, CurveKind::Gray, 16);
-        let sparse = dense.clone().without_dense_grid();
+        let sparse = Assignment::with_dense_grid(&particles, 3, CurveKind::Gray, 16, false);
         let machine = Machine::new(TopologyKind::Mesh, 16, CurveKind::Gray);
         assert_eq!(ffi_acd(&dense, &machine), ffi_acd(&sparse, &machine));
     }

@@ -215,30 +215,25 @@ pub fn nfi_acd_3d(asg: &Assignment3, machine: &Machine3, radius: u32) -> crate::
 /// interaction lists.
 pub fn ffi_acd_3d(asg: &Assignment3, machine: &Machine3) -> crate::ffi::FfiResult {
     let k = asg.grid_order();
-    // Per-level owner maps (min rank per occupied cell).
-    let mut levels: Vec<CellMap> = Vec::with_capacity(k as usize + 1);
-    let mut finest = CellMap::with_capacity(asg.particles().len());
-    for (i, p) in asg.particles().iter().enumerate() {
-        finest.insert_min(
-            sfc_curves::curve3d::morton3_encode(p.x, p.y, p.z),
-            asg.rank_of_index(i),
-        );
-    }
-    levels.push(finest);
+    // Per-level owner maps (min rank per occupied cell). Level `k` is the
+    // assignment's own map: one particle per cell, so its rank is the
+    // minimum. `coarse[l]` is level `l < k`.
+    let mut coarse: Vec<CellMap> = Vec::with_capacity(k as usize);
     for _ in 0..k {
-        let prev = levels.last().unwrap();
+        let prev = coarse.last().unwrap_or(&asg.cell_rank);
         let mut coarser = CellMap::with_capacity(prev.len());
         for (code, rank) in prev.iter() {
             coarser.insert_min(code >> 3, rank);
         }
-        levels.push(coarser);
+        coarse.push(coarser);
     }
-    levels.reverse();
+    coarse.reverse();
+    let levels = |level: u32| coarse.get(level as usize).unwrap_or(&asg.cell_rank);
 
     let mut result = crate::ffi::FfiResult::default();
     for level in 1..=k {
-        let entries: Vec<(u64, u32)> = levels[level as usize].iter().collect();
-        let parent_map = &levels[(level - 1) as usize];
+        let entries: Vec<(u64, u32)> = levels(level).iter().collect();
+        let parent_map = levels(level - 1);
         let (dist, count): (u64, u64) = entries
             .par_iter()
             .map(|&(code, rank)| {
@@ -253,7 +248,7 @@ pub fn ffi_acd_3d(asg: &Assignment3, machine: &Machine3) -> crate::ffi::FfiResul
     result.anterp_comms = result.interp_comms;
 
     for level in 2..=k {
-        let level_map = &levels[level as usize];
+        let level_map = levels(level);
         let entries: Vec<(u64, u32)> = level_map.iter().collect();
         let (dist, count): (u64, u64) = entries
             .par_iter()

@@ -28,6 +28,7 @@ use crate::error::SfcError;
 use crate::machine::Machine;
 use crate::scan::{scan_row, with_scratch, PairSink, Totals};
 use sfc_curves::point::Norm;
+use sfc_particles::GridIndex;
 
 /// Outcome of a near-field ACD computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -147,6 +148,7 @@ pub(crate) fn check(asg: &Assignment, machines: &[&Machine], radius: u32) -> Res
 pub fn nfi_traffic(asg: &Assignment, radius: u32, norm: Norm, sink: &mut impl PairSink) {
     let side = 1i64 << asg.grid_order();
     let r = radius as i64;
+    let grid: &GridIndex = asg.grid();
     with_scratch(|scratch| {
         let acc = &mut scratch.counts[0];
         acc.reset(asg.num_ranks());
@@ -165,7 +167,7 @@ pub fn nfi_traffic(asg: &Assignment, radius: u32, norm: Norm, sink: &mut impl Pa
                 };
                 let lo = if dy == 0 { x + 1 } else { (x - w).max(0) };
                 let xs = lo as u32..(x + w + 1).min(side) as u32;
-                scan_row(asg, (y + dy) as u32, xs, 0..0, acc);
+                scan_row(grid, (y + dy) as u32, xs, 0..0, acc);
             }
         }
         acc.flush(sink);
@@ -341,8 +343,8 @@ mod tests {
         assert!(start.elapsed().as_secs_f64() < 1.0, "{:?}", start.elapsed());
     }
 
-    /// The dense row-segment scan and the CellMap probe fallback produce
-    /// bit-identical results, on oracle and closed-form machines.
+    /// The dense row-segment scan and the sparse index's per-cell probes
+    /// produce bit-identical results, on oracle and closed-form machines.
     #[test]
     fn dense_grid_on_and_off_agree() {
         let mut coords = Vec::new();
@@ -358,7 +360,7 @@ mod tests {
         let particles = pts(&coords);
         for curve in [CurveKind::Hilbert, CurveKind::ZCurve, CurveKind::RowMajor] {
             let dense = Assignment::new(&particles, 3, curve, 16);
-            let sparse = dense.clone().without_dense_grid();
+            let sparse = Assignment::with_dense_grid(&particles, 3, curve, 16, false);
             assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
             for topo in [TopologyKind::Mesh, TopologyKind::Torus] {
                 let cached = Machine::new(topo, 16, curve);

@@ -14,11 +14,11 @@
 //! cells is then visited once and stands for one message each way. The
 //! [`PairSink`] contract says which families a kernel delivers that way.
 //!
-//! The rank source is a [`RankRows`]. Where it holds a dense table, a
-//! segment is a contiguous slice. Where it does not, the same cells are
-//! probed one at a time. That covers over-cap grids and assignments built
-//! without the dense grid. Both branches visit the same cells, so the
-//! counts are identical.
+//! The rank source is one level's [`GridIndex`]. Where the index is
+//! dense, a segment is a contiguous slice of a rank row. Where it is
+//! sparse (grids over the cell cap, or assignments built with
+//! `with_dense_grid(.., false)`), the same cells are probed one at a time.
+//! Both branches visit the same cells, so the counts are identical.
 //!
 //! A scan never asks how far a message travels. The paper's ACD separates
 //! into traffic, which depends only on the particles, the particle curve
@@ -33,36 +33,10 @@
 //! measured on, and a message costs one counter increment, whatever the
 //! machine.
 
-use crate::assignment::Assignment;
 use crate::machine::Machine;
 use sfc_particles::GridIndex;
 use std::cell::RefCell;
 use std::ops::Range;
-
-/// A grid level's cell → owner-rank mapping, as [`scan_row`] reads it.
-pub(crate) trait RankRows {
-    /// Row `y` as a dense slice (`row[x]` is the owner of cell `(x, y)` or
-    /// [`GridIndex::EMPTY`]), or `None` when the level has no dense table.
-    fn row(&self, y: u32) -> Option<&[u32]>;
-
-    /// Owner of cell `(x, y)`, or `None` if it is empty. Only called when
-    /// [`RankRows::row`] returns `None`.
-    fn probe(&self, x: u32, y: u32) -> Option<u32>;
-}
-
-/// The finest level: the assignment's dense rank rows, or its `CellMap`
-/// when it has none.
-impl RankRows for Assignment {
-    #[inline]
-    fn row(&self, y: u32) -> Option<&[u32]> {
-        self.rank_row(y)
-    }
-
-    #[inline]
-    fn probe(&self, x: u32, y: u32) -> Option<u32> {
-        self.rank_of_cell(x, y)
-    }
-}
 
 /// Where a scan delivers its traffic: one call per run of a sender's
 /// cells, with each distinct receiver and the number of messages it got.
@@ -254,8 +228,8 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// `xs` must lie inside the level's side; `hole` may overhang it, and an
 /// empty `hole` (such as `0..0`) cuts nothing.
 #[inline]
-pub(crate) fn scan_row<R: RankRows + ?Sized>(
-    rows: &R,
+pub(crate) fn scan_row(
+    rows: &GridIndex,
     y: u32,
     xs: Range<u32>,
     hole: Range<u32>,
@@ -281,7 +255,7 @@ pub(crate) fn scan_row<R: RankRows + ?Sized>(
                 if hole.contains(&x) {
                     continue;
                 }
-                if let Some(other) = rows.probe(x, y) {
+                if let Some(other) = rows.rank_of(x, y) {
                     acc.add(other);
                 }
             }
@@ -293,31 +267,8 @@ pub(crate) fn scan_row<R: RankRows + ?Sized>(
 mod tests {
     use super::*;
     use sfc_curves::CurveKind;
-    use sfc_particles::cellmap::{pack_cell, CellMap};
     use sfc_topology::TopologyKind;
     use std::collections::BTreeMap;
-
-    /// A 4×4 level held twice: as dense rows and as a probe-only map.
-    struct Dense(Vec<u32>);
-    struct Probed(CellMap);
-
-    impl RankRows for Dense {
-        fn row(&self, y: u32) -> Option<&[u32]> {
-            Some(&self.0[y as usize * 4..][..4])
-        }
-        fn probe(&self, _: u32, _: u32) -> Option<u32> {
-            unreachable!("dense rows are never probed")
-        }
-    }
-
-    impl RankRows for Probed {
-        fn row(&self, _: u32) -> Option<&[u32]> {
-            None
-        }
-        fn probe(&self, x: u32, y: u32) -> Option<u32> {
-            self.0.get(pack_cell(x, y))
-        }
-    }
 
     /// Every delivered `(sender, receiver)` count, merged per pair.
     #[derive(Debug, Default, PartialEq)]
@@ -332,26 +283,28 @@ mod tests {
         }
     }
 
-    fn level() -> (Dense, Probed) {
+    /// A 4×4 level held twice: as a dense and as a sparse index.
+    fn level() -> [GridIndex; 2] {
         let e = GridIndex::EMPTY;
         #[rustfmt::skip]
-        let ranks = vec![
+        let ranks = [
             0, e, 2, 3,
             e, 5, 5, e,
             8, e, e, 11,
             e, 13, 14, 15,
         ];
-        let mut map = CellMap::with_capacity(16);
-        for (i, &r) in ranks.iter().enumerate() {
-            if r != e {
-                map.insert_first(pack_cell(i as u32 % 4, i as u32 / 4), r);
+        [GridIndex::new(2, 16), GridIndex::sparse(2, 16)].map(|mut g| {
+            for (i, &r) in ranks.iter().enumerate() {
+                if r != e {
+                    g.insert_first(i as u32 % 4, i as u32 / 4, r);
+                }
             }
-        }
-        (Dense(ranks), Probed(map))
+            g
+        })
     }
 
     /// Count one segment of `rows` from `sender`.
-    fn scan<R: RankRows>(rows: &R, sender: u32, y: u32, xs: Range<u32>, hole: Range<u32>) -> Pairs {
+    fn scan(rows: &GridIndex, sender: u32, y: u32, xs: Range<u32>, hole: Range<u32>) -> Pairs {
         let (mut acc, mut out) = (PairCounts::default(), Pairs::default());
         acc.reset(16);
         acc.send_from(sender, &mut out);
@@ -360,12 +313,12 @@ mod tests {
         out
     }
 
-    /// The probe branch, which serves over-cap grids and assignments
-    /// without a dense grid, visits exactly the cells the slice branch
-    /// does, for every segment and hole placement.
+    /// The probe branch, which serves sparse indexes, visits exactly the
+    /// cells the slice branch does, for every segment and hole placement.
     #[test]
     fn probe_branch_matches_dense_rows() {
-        let (dense, probed) = level();
+        let [dense, sparse] = level();
+        assert!(dense.is_dense() && !sparse.is_dense());
         for sender in [0, 5, 14] {
             for y in 0..4 {
                 for lo in 0..4 {
@@ -373,7 +326,7 @@ mod tests {
                         for hole in [0..0, 0..1, 1..3, 2..5, 3..4] {
                             assert_eq!(
                                 scan(&dense, sender, y, lo..hi, hole.clone()),
-                                scan(&probed, sender, y, lo..hi, hole.clone()),
+                                scan(&sparse, sender, y, lo..hi, hole.clone()),
                                 "y {y} xs {lo}..{hi} hole {hole:?}"
                             );
                         }
@@ -387,7 +340,7 @@ mod tests {
     /// hop distance on every machine of the set.
     #[test]
     fn totals_count_local_and_remote_messages_on_every_machine() {
-        let (dense, _) = level();
+        let [dense, _] = level();
         let mesh = Machine::closed_form(TopologyKind::Mesh, 16, CurveKind::RowMajor);
         let ring = Machine::new(TopologyKind::Ring, 64, CurveKind::RowMajor);
         let machines = [&mesh, &ring];
@@ -434,7 +387,7 @@ mod tests {
     /// pieces, and a new sender flushes the previous one first.
     #[test]
     fn send_from_flushes_on_every_sender_change() {
-        let (dense, _) = level();
+        let [dense, _] = level();
         let (mut acc, mut out) = (PairCounts::default(), Pairs::default());
         acc.reset(16);
         for sender in [2, 2, 8, 2] {

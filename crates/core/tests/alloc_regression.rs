@@ -83,7 +83,7 @@ fn workload() -> Vec<Point2> {
 fn ffi_sweep_allocates_nothing_after_tree_build() {
     let particles = workload();
     let dense = Assignment::new(&particles, 4, CurveKind::Hilbert, 16);
-    let sparse = dense.clone().without_dense_grid();
+    let sparse = Assignment::with_dense_grid(&particles, 4, CurveKind::Hilbert, 16, false);
     let machine = Machine::new(TopologyKind::Torus, 16, CurveKind::Hilbert);
     let mut expected = None;
     for asg in [&dense, &sparse] {

@@ -190,6 +190,34 @@ fn reference_link_load(machine: &Machine, pairs: &PairMap) -> LinkLoad {
     load
 }
 
+/// The pairs `asg`'s kernels deliver equal the brute-force directed
+/// counts: near field under both norms at radii 1–4, and interpolation and
+/// interaction lists, with each undirected family expanded both ways.
+/// Routing the near field for link loads matches routing every message on
+/// its own.
+fn assert_brute_force_pairs(asg: &Assignment, machine: &Machine) {
+    for norm in [Norm::Chebyshev, Norm::Manhattan] {
+        for radius in 1..=4 {
+            let want = reference_nfi_pairs(asg, radius, norm);
+            let mut got = Collect::new(true);
+            nfi_traffic(asg, radius, norm, &mut got);
+            assert_eq!(&got.pairs, &want, "{:?} r={}", norm, radius);
+            assert_eq!(
+                nfi_link_load(asg, machine, radius, norm).unwrap(),
+                reference_link_load(machine, &want),
+                "{:?} r={}",
+                norm,
+                radius
+            );
+        }
+    }
+    let (want_up, want_across) = reference_ffi_pairs(asg);
+    let (mut up, mut across) = (Collect::new(false), Collect::new(true));
+    ffi_traffic(asg, &OwnerTree::build(asg), &mut up, &mut across);
+    assert_eq!(&up.pairs, &want_up);
+    assert_eq!(&across.pairs, &want_across);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -215,7 +243,7 @@ proptest! {
         let norm = if manhattan { Norm::Manhattan } else { Norm::Chebyshev };
         let procs = [4u64, 16, 64][procs_idx];
         let dense = Assignment::new(&cells, order, curve, procs);
-        let sparse = dense.clone().without_dense_grid();
+        let sparse = Assignment::with_dense_grid(&cells, order, curve, procs, false);
         let machine_ranks = procs << (2 * spare);
         let machines: Vec<Machine> = TopologyKind::PAPER
             .iter()
@@ -247,10 +275,8 @@ proptest! {
     }
 
     /// The kernels deliver exactly the brute-force traffic pair by pair,
-    /// not only in sum: near field under both norms at radii 1–4, and
-    /// interpolation and interaction lists, with each undirected family
-    /// expanded both ways, on dense and fallback assignments. Routing the
-    /// near field for link loads matches routing every message on its own.
+    /// not only in sum (see [`assert_brute_force_pairs`]), on dense
+    /// and sparse assignments.
     #[test]
     fn kernels_deliver_the_brute_force_pairs(
         raws in prop::collection::vec((any::<u32>(), any::<u32>()), 1..100),
@@ -263,28 +289,31 @@ proptest! {
         let curve = CurveKind::PAPER[curve_idx];
         let procs = [4u64, 16, 64][procs_idx];
         let dense = Assignment::new(&cells, order, curve, procs);
-        let sparse = dense.clone().without_dense_grid();
+        let sparse = Assignment::with_dense_grid(&cells, order, curve, procs, false);
         let machine = Machine::closed_form(TopologyKind::PAPER[topo_idx], procs, curve);
-        let (want_up, want_across) = reference_ffi_pairs(&dense);
         for asg in [&dense, &sparse] {
-            for norm in [Norm::Chebyshev, Norm::Manhattan] {
-                for radius in 1..=4 {
-                    let want = reference_nfi_pairs(&dense, radius, norm);
-                    let mut got = Collect::new(true);
-                    nfi_traffic(asg, radius, norm, &mut got);
-                    prop_assert_eq!(&got.pairs, &want, "{:?} r={}", norm, radius);
-                    prop_assert_eq!(
-                        nfi_link_load(asg, &machine, radius, norm).unwrap(),
-                        reference_link_load(&machine, &want),
-                        "{:?} r={}", norm, radius
-                    );
-                }
-            }
-            let (mut up, mut across) = (Collect::new(false), Collect::new(true));
-            ffi_traffic(asg, &OwnerTree::build(asg), &mut up, &mut across);
-            prop_assert_eq!(&up.pairs, &want_up);
-            prop_assert_eq!(&across.pairs, &want_across);
+            assert_brute_force_pairs(asg, &machine);
         }
+    }
+
+    /// Above the cell cap `Assignment::new` itself picks the sparse table,
+    /// and the kernels still deliver the brute-force pairs. The cells come
+    /// from the 32×32 corner of the order-13 grid, so the near field and
+    /// the interaction lists are populated.
+    #[test]
+    fn kernels_deliver_the_brute_force_pairs_above_the_cell_cap(
+        raws in prop::collection::vec((any::<u32>(), any::<u32>()), 1..100),
+        curve_idx in 0usize..4,
+        procs_idx in 0usize..3,
+        topo_idx in 0usize..6,
+    ) {
+        let cells = distinct_cells(5, &raws);
+        let curve = CurveKind::PAPER[curve_idx];
+        let procs = [4u64, 16, 64][procs_idx];
+        let asg = Assignment::new(&cells, 13, curve, procs);
+        prop_assert!(!asg.has_dense_grid());
+        let machine = Machine::closed_form(TopologyKind::PAPER[topo_idx], procs, curve);
+        assert_brute_force_pairs(&asg, &machine);
     }
 
     /// The owner pyramid and the far-field kernel agree with the
@@ -302,7 +331,7 @@ proptest! {
         let curve = CurveKind::PAPER[curve_idx];
         let procs = [4u64, 16, 64][procs_idx];
         let dense = Assignment::new(&cells, order, curve, procs);
-        let sparse = dense.clone().without_dense_grid();
+        let sparse = Assignment::with_dense_grid(&cells, order, curve, procs, false);
         prop_assert!(dense.has_dense_grid() && !sparse.has_dense_grid());
         let cached = Machine::new(TopologyKind::PAPER[topo_idx], procs, curve);
         let plain = Machine::closed_form(TopologyKind::PAPER[topo_idx], procs, curve);

@@ -52,6 +52,11 @@ impl CellMap {
         self.len == 0
     }
 
+    /// Bytes held by the slot arrays: 12 per slot.
+    pub fn table_bytes(&self) -> usize {
+        self.keys.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
+    }
+
     #[inline]
     fn slot_of(&self, key: u64) -> usize {
         (key.wrapping_mul(FIB) >> self.shift) as usize & self.mask

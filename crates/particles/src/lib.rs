@@ -9,11 +9,12 @@
 //! resolution holds at most one particle, so a sample of size `n` is a set
 //! of `n` *distinct* grid cells. Samplers are deterministic given a seed.
 //!
-//! The crate also provides [`CellMap`], an open-addressing hash table keyed
-//! by packed cell coordinates. The near-field ACD computation probes tens of
-//! millions of cells per trial; `CellMap` turns each probe into one or two
-//! cache lines with no hasher state, which is what makes paper-scale runs
-//! (10⁶ particles, 81-cell neighborhoods) cheap on a laptop.
+//! The crate also provides the occupancy structures the metric kernels
+//! read: [`GridIndex`], the rank table of one grid level (dense up to
+//! [`MAX_GRID_CELLS`] cells, sparse above), and [`CellMap`], the
+//! open-addressing hash table keyed by packed cell coordinates behind the
+//! sparse form and the samplers' duplicate check. A `CellMap` probe is one
+//! multiply and usually one cache line, with no hasher state.
 //!
 //! ```
 //! use sfc_particles::{Distribution, sample};

@@ -3,15 +3,16 @@
 //! The ACD/FMM model assumes at most one particle per finest-resolution cell
 //! (Section III of the paper), so a "problem instance" of size `n` is a set
 //! of `n` distinct cells drawn from the chosen distribution. [`sample`]
-//! draws with rejection of duplicates; the returned order is the draw order
+//! draws with rejection of duplicates, found through a [`CellMap`] sized
+//! from `n`; the returned order is the draw order
 //! (callers sort by an SFC afterwards, which is exactly step 1 of the
 //! paper's algorithm).
 
+use crate::cellmap::{pack_cell, CellMap};
 use crate::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfc_curves::Point2;
-use std::collections::HashSet;
 
 /// Fraction of the grid that a sample may occupy before we refuse to
 /// rejection-sample (beyond this, collision rates make rejection sampling
@@ -53,7 +54,7 @@ pub fn sample_with(dist: Distribution, order: u32, n: usize, rng: &mut StdRng) -
         cells * MAX_FILL
     );
 
-    let mut seen: HashSet<u64> = HashSet::with_capacity(n * 2);
+    let mut seen = CellMap::with_capacity(n);
     let mut out = Vec::with_capacity(n);
     let budget = (n as u64).saturating_mul(MAX_ATTEMPT_FACTOR).max(10_000);
     let mut attempts = 0u64;
@@ -66,8 +67,7 @@ pub fn sample_with(dist: Distribution, order: u32, n: usize, rng: &mut StdRng) -
             out.len()
         );
         let (x, y) = dist.draw(rng, side);
-        let key = ((y as u64) << 32) | x as u64;
-        if seen.insert(key) {
+        if seen.insert_first(pack_cell(x, y), 0).is_none() {
             out.push(Point2::new(x, y));
         }
     }

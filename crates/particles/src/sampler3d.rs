@@ -5,11 +5,11 @@
 //! centered trivariate normal (symmetric axes), and exponential skewed into
 //! one octant. At most one particle per finest-resolution cell.
 
+use crate::cellmap::CellMap;
 use crate::distributions::{Distribution, DistributionKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sfc_curves::curve3d::Point3;
-use std::collections::HashSet;
 
 /// Draw `n` distinct cells of a `2^order`-sided cube from `dist`,
 /// deterministically for a given `seed`. The distribution's shape parameter
@@ -26,7 +26,7 @@ pub fn sample3d(dist: Distribution, order: u32, n: usize, seed: u64) -> Vec<Poin
         "cannot place {n} distinct particles in a {side}^3 cube"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut seen: HashSet<(u32, u32, u32)> = HashSet::with_capacity(n * 2);
+    let mut seen = CellMap::with_capacity(n);
     let mut out = Vec::with_capacity(n);
     let budget = (n as u64).saturating_mul(200).max(10_000);
     let mut attempts = 0u64;
@@ -37,7 +37,10 @@ pub fn sample3d(dist: Distribution, order: u32, n: usize, seed: u64) -> Vec<Poin
             "distribution too concentrated for {n} distinct cells"
         );
         let p = draw3(&dist, &mut rng, side);
-        if seen.insert((p.x, p.y, p.z)) {
+        // Coordinates are below 2^20, so the packed key stays below 2^60
+        // and never hits the map's reserved `u64::MAX`.
+        let key = (p.z as u64) << 40 | (p.y as u64) << 20 | p.x as u64;
+        if seen.insert_first(key, 0).is_none() {
             out.push(p);
         }
     }

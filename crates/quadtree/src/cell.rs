@@ -142,15 +142,6 @@ impl Cell {
         out
     }
 
-    /// The quadrant index (0–3, Morton order) of this cell within its
-    /// parent. `None` for the root.
-    pub fn quadrant_in_parent(&self) -> Option<u8> {
-        if self.level == 0 {
-            return None;
-        }
-        Some(((self.y & 1) << 1 | (self.x & 1)) as u8)
-    }
-
     /// The ancestor of this cell at the given (coarser or equal) level.
     pub fn ancestor_at(&self, level: u32) -> Cell {
         assert!(level <= self.level, "ancestor level must be coarser");
@@ -304,17 +295,6 @@ mod tests {
         // A leaf inside and outside.
         assert!(c.contains(Cell::new(5, 0b1_000, 0b11_111)));
         assert!(!c.contains(Cell::new(5, 0, 0)));
-    }
-
-    #[test]
-    fn quadrants_in_parent() {
-        let parent = Cell::new(1, 0, 1);
-        let kids = parent.children();
-        assert_eq!(kids[0].quadrant_in_parent(), Some(0));
-        assert_eq!(kids[1].quadrant_in_parent(), Some(1));
-        assert_eq!(kids[2].quadrant_in_parent(), Some(2));
-        assert_eq!(kids[3].quadrant_in_parent(), Some(3));
-        assert_eq!(Cell::ROOT.quadrant_in_parent(), None);
     }
 
     #[test]
