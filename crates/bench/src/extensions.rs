@@ -25,11 +25,11 @@ use crate::cell::{Machines, Measure, Pipeline, TrialCache};
 use sfc_core::anns::{anns, anns_cyclic};
 use sfc_core::anns3d::anns3d;
 use sfc_core::clustering::average_clusters;
-use sfc_core::model3d::{ffi_acd_3d, nfi_acd_3d, Assignment3, Machine3, Topology3Kind};
+use sfc_core::model3d::{ffi_acd_3d, nfi_acd_3d, Assignment3};
 use sfc_core::report::Table;
 use sfc_core::runner::{BatchCell, SweepRunner};
 use sfc_core::timing;
-use sfc_core::ExperimentSpec;
+use sfc_core::{ExperimentSpec, Machine};
 use sfc_curves::curve3d::Curve3dKind;
 use sfc_curves::point::Norm;
 use sfc_curves::CurveKind;
@@ -159,7 +159,7 @@ pub fn run_extensions(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Vec<Ta
         .iter()
         .map(|&curve| {
             let particles3 = &particles3;
-            BatchCell::new(format!("acd3d/{}", curve.short_name()), move || {
+            BatchCell::try_new(format!("acd3d/{}", curve.short_name()), move || {
                 let particles3 = timing::phase("sample", || {
                     particles3
                         .get_or_init(|| sample3d(Distribution::uniform(), cube_order, n3, seed))
@@ -167,19 +167,18 @@ pub fn run_extensions(spec: &ExperimentSpec, runner: &mut SweepRunner) -> Vec<Ta
                 let asg = timing::phase("assign", || {
                     Assignment3::new(particles3, cube_order, curve, procs3)
                 });
-                let machine =
-                    |topo| timing::phase("machine", || Machine3::new(topo, procs3, curve));
-                // ALL = [Mesh3d, Torus3d, Hypercube] matches the headers.
-                let mut row: Vec<f64> = Topology3Kind::ALL
-                    .iter()
-                    .map(|&topo| {
-                        let machine = machine(topo);
-                        timing::phase("nfi", || nfi_acd_3d(&asg, &machine, 1).acd())
-                    })
-                    .collect();
-                let torus = machine(Topology3Kind::Torus3d);
-                row.push(timing::phase("ffi", || ffi_acd_3d(&asg, &torus).acd()));
-                row
+                // In the order of the NFI columns.
+                let [mesh, torus, cube] = timing::phase("machine", || {
+                    [
+                        TopologyKind::Mesh3d,
+                        TopologyKind::Torus3d,
+                        TopologyKind::Hypercube,
+                    ]
+                    .map(|topo| Machine::cube(topo, procs3, curve))
+                });
+                let near = timing::phase("nfi", || nfi_acd_3d(&asg, &[&mesh, &torus, &cube], 1))?;
+                let far = timing::phase("ffi", || ffi_acd_3d(&asg, &[&torus]))?[0];
+                Ok(near.iter().map(|r| r.acd()).chain([far.acd()]).collect())
             })
         })
         .collect();

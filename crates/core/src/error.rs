@@ -10,6 +10,7 @@
 //! out-of-range index *inside* a validated hot loop) stay panic-based.
 
 use sfc_particles::WorkloadError;
+use sfc_topology::TopologyKind;
 
 /// Errors raised by experiment validation and the fault-tolerant sweep
 /// runner.
@@ -36,6 +37,12 @@ pub enum SfcError {
     /// The workload description is unsatisfiable (grid order out of range,
     /// particle count exceeding the grid's capacity).
     Workload(WorkloadError),
+    /// A 3-D network where only the 2-D model's topologies fit: in a sweep
+    /// spec or for link-load routing.
+    Topology3d {
+        /// The 3-D topology.
+        topology: TopologyKind,
+    },
     /// A statistics summary was requested over an empty sample set — after
     /// a partial sweep, a configuration may have no completed trials.
     EmptySamples,
@@ -149,6 +156,9 @@ impl std::fmt::Display for SfcError {
             ),
             SfcError::NoTrials => write!(f, "experiment requires at least one trial"),
             SfcError::Workload(e) => write!(f, "{e}"),
+            SfcError::Topology3d { topology } => {
+                write!(f, "{topology} is a 3-D network, not a sweep or routing one")
+            }
             SfcError::EmptySamples => write!(f, "no samples to summarize"),
             SfcError::NonSquareMesh { nodes } => write!(
                 f,
@@ -240,6 +250,11 @@ mod tests {
         assert!(e.to_string().contains("radius 70"));
 
         assert!(SfcError::EmptySamples.to_string().contains("no samples"));
+
+        let e = SfcError::Topology3d {
+            topology: TopologyKind::Torus3d,
+        };
+        assert!(e.to_string().contains("Torus3D is a 3-D network"));
 
         let e = SfcError::NonSquareMesh { nodes: 32 };
         assert!(e.to_string().contains("square") && e.to_string().contains("32"));

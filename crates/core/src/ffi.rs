@@ -114,7 +114,7 @@ impl FfiResult {
 /// Call `f(x, y, owner)` for every occupied cell of `level`, each owner's
 /// cells in one run. Owners are below `ranks`. The cells are bucketed by
 /// owner with a counting sort through `order` and `starts`.
-fn for_each_by_owner(
+pub(crate) fn for_each_by_owner(
     level: &GridIndex,
     ranks: usize,
     order: &mut Vec<u64>,
@@ -236,9 +236,10 @@ pub fn ffi_acd_with_tree(
     machine: &Machine,
     tree: &OwnerTree,
 ) -> Result<FfiResult, SfcError> {
-    let (mut interp, mut ilist) = ([0], [0]);
-    let counts = ffi_totals(asg, &[machine], tree, &mut interp, &mut ilist)?;
-    Ok(with_distances(counts, interp[0], ilist[0]))
+    machine.check_ranks(asg.num_ranks())?;
+    let scan = |up: &mut Totals, across: &mut Totals| ffi_traffic(asg, tree, up, across);
+    let result = ffi_on(&[machine], &mut [0], &mut [0], scan).next();
+    Ok(result.expect("one result per machine"))
 }
 
 /// [`ffi_acd_with_tree`] on every machine of `machines`, from one scan of
@@ -249,50 +250,40 @@ pub fn ffi_acd_on(
     machines: &[&Machine],
     tree: &OwnerTree,
 ) -> Result<Vec<FfiResult>, SfcError> {
-    let mut interp = vec![0; machines.len()];
-    let mut ilist = vec![0; machines.len()];
-    let counts = ffi_totals(asg, machines, tree, &mut interp, &mut ilist)?;
-    Ok(interp
-        .iter()
-        .zip(&ilist)
-        .map(|(&up, &across)| with_distances(counts, up, across))
-        .collect())
-}
-
-/// `counts` with one machine's interpolation and interaction-list
-/// distances filled in.
-fn with_distances(counts: FfiResult, interp: u64, ilist: u64) -> FfiResult {
-    FfiResult {
-        interp_distance: interp,
-        // Downward accumulation retraces the same edges.
-        anterp_distance: interp,
-        ilist_distance: ilist,
-        ..counts
-    }
-}
-
-/// Scan `asg` once, summing each machine's interpolation and
-/// interaction-list hop distances into `interp` and `ilist`. Returns the
-/// message counts, which no machine changes, with zero distances.
-fn ffi_totals(
-    asg: &Assignment,
-    machines: &[&Machine],
-    tree: &OwnerTree,
-    interp: &mut [u64],
-    ilist: &mut [u64],
-) -> Result<FfiResult, SfcError> {
     for machine in machines {
-        machine.check_assignment(asg)?;
+        machine.check_ranks(asg.num_ranks())?;
     }
-    let mut interp = Totals::directed(machines, interp);
-    let mut ilist = Totals::undirected(machines, ilist);
-    ffi_traffic(asg, tree, &mut interp, &mut ilist);
-    Ok(FfiResult {
-        interp_comms: interp.comms,
-        anterp_comms: interp.comms,
-        ilist_comms: ilist.comms,
-        ..FfiResult::default()
-    })
+    let (interp, ilist) = (&mut vec![0; machines.len()], &mut vec![0; machines.len()]);
+    let scan = |up: &mut Totals, across: &mut Totals| ffi_traffic(asg, tree, up, across);
+    Ok(ffi_on(machines, interp, ilist, scan).collect())
+}
+
+/// The far-field result on each of `machines` of the traffic `scan`
+/// delivers to the two [`Totals`] it is given: interpolation directed,
+/// interaction lists undirected. `interp` and `ilist` hold one sum per
+/// machine each, so one machine needs no allocation.
+pub(crate) fn ffi_on<'a>(
+    machines: &[&Machine],
+    interp: &'a mut [u64],
+    ilist: &'a mut [u64],
+    scan: impl FnOnce(&mut Totals, &mut Totals),
+) -> impl Iterator<Item = FfiResult> + 'a {
+    let mut up = Totals::directed(machines, interp);
+    let mut across = Totals::undirected(machines, ilist);
+    scan(&mut up, &mut across);
+    let (interp_comms, ilist_comms) = (up.comms, across.comms);
+    interp
+        .iter()
+        .zip(ilist.iter())
+        .map(move |(&interp_distance, &ilist_distance)| FfiResult {
+            interp_distance,
+            interp_comms,
+            // Downward accumulation retraces the same edges.
+            anterp_distance: interp_distance,
+            anterp_comms: interp_comms,
+            ilist_distance,
+            ilist_comms,
+        })
 }
 
 /// Deliver the far-field traffic of `asg` to two sinks (see

@@ -102,7 +102,8 @@ impl LinkLoad {
 /// Mesh/torus routing requires `nodes` to be a perfect square — a
 /// non-square count has no `side × side` grid and is rejected as
 /// [`SfcError::NonSquareMesh`] rather than silently mis-routing on a
-/// rounded side length.
+/// rounded side length. The 3-D mesh and torus have no routing
+/// discipline here: [`SfcError::Topology3d`].
 pub fn route(kind: TopologyKind, nodes: u64, a: u64, b: u64) -> Result<Vec<u64>, SfcError> {
     Ok(match kind {
         TopologyKind::Bus => {
@@ -195,7 +196,7 @@ pub fn route(kind: TopologyKind, nodes: u64, a: u64, b: u64) -> Result<Vec<u64>,
             path
         }
         TopologyKind::Mesh3d | TopologyKind::Torus3d => {
-            unimplemented!("3-D routing is not part of the link-load study")
+            return Err(SfcError::Topology3d { topology: kind });
         }
     })
 }
@@ -218,14 +219,18 @@ fn axis_step(cur: u64, target: u64, side: u64, torus: bool) -> u64 {
 /// once each way and its count added to every link on both paths.
 ///
 /// A zero radius or a machine with fewer ranks than the assignment
-/// addresses is a typed [`SfcError`], as in [`nfi_acd`](crate::nfi::nfi_acd).
+/// addresses is a typed [`SfcError`], as in [`nfi_acd`](crate::nfi::nfi_acd),
+/// and so is a machine whose topology [`route`] cannot serve.
 pub fn nfi_link_load(
     asg: &Assignment,
     machine: &Machine,
     radius: u32,
     norm: Norm,
 ) -> Result<LinkLoad, SfcError> {
-    check(asg, &[machine], radius)?;
+    check(asg.num_ranks(), &[machine], radius)?;
+    // Fail here, once, rather than on the first routed pair.
+    let topo = machine.topology();
+    route(topo.kind(), topo.num_nodes(), 0, 0)?;
     let mut router = Router {
         machine,
         load: LinkLoad {
@@ -257,7 +262,7 @@ impl PairSink for Router<'_> {
                 // there reversed.
                 for (a, b) in [(from, to), (to, from)] {
                     let path = route(kind, nodes, a, b)
-                        .expect("machine topologies are square by construction");
+                        .expect("nfi_link_load checked the topology routes");
                     self.load.record_path(&path, count);
                 }
             }
@@ -406,6 +411,23 @@ mod tests {
                 assignment_ranks: 64,
             })
         );
+    }
+
+    /// The 3-D mesh and torus have no routing discipline: `route` says so
+    /// with a typed error, and `nfi_link_load` rejects a 3-D machine before
+    /// scanning instead of panicking on its first pair.
+    #[test]
+    fn three_dimensional_topologies_are_typed_errors() {
+        use sfc_curves::curve3d::Curve3dKind;
+        let particles = sample(Distribution::uniform(), 3, 20, 5);
+        let asg = Assignment::new(&particles, 3, CurveKind::Hilbert, 64);
+        for topology in [TopologyKind::Mesh3d, TopologyKind::Torus3d] {
+            let want = SfcError::Topology3d { topology };
+            assert_eq!(route(topology, 64, 0, 1).unwrap_err(), want);
+            let machine = Machine::cube(topology, 64, Curve3dKind::Hilbert);
+            let got = nfi_link_load(&asg, &machine, 1, Norm::Chebyshev);
+            assert_eq!(got.unwrap_err(), want);
+        }
     }
 
     /// Total crossings equal the total NFI distance: the link-load view is

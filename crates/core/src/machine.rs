@@ -10,21 +10,20 @@
 //! the sweeps build. [`Machine::new`] additionally precomputes the dense
 //! `P × P` hop matrix ([`DistanceOracle`]) for machines of up to
 //! [`MAX_ORACLE_ENTRIES`]`.isqrt()` ranks; the two return bit-identical
-//! distances.
+//! distances. [`Machine::cube`] builds the 3-D model's machines the same
+//! way, with ranks placed along a 3-D processor curve.
 
 use crate::error::SfcError;
 use crate::oracle::{DistanceOracle, MAX_ORACLE_ENTRIES};
-use crate::Assignment;
+use sfc_curves::curve3d::{Curve3dKind, Point3};
 use sfc_curves::CurveKind;
-use sfc_topology::{RankMap, SfcRankMap, Topology, TopologyKind};
+use sfc_topology::{Hypercube, Mesh3d, RankMap, SfcRankMap, Topology, TopologyKind, Torus3d};
 
 /// A concrete parallel machine: `p` ranks placed on a network.
 pub struct Machine {
     topo: Box<dyn Topology>,
     /// Physical node of each rank; identity for non-grid topologies.
     node_of_rank: Vec<u64>,
-    /// Processor-order curve, if one applies.
-    processor_curve: Option<CurveKind>,
     /// Dense `P × P` hop table; `None` above the size threshold and on
     /// closed-form machines.
     oracle: Option<DistanceOracle>,
@@ -61,21 +60,49 @@ impl Machine {
     /// topology's closed form.
     pub fn closed_form(kind: TopologyKind, num_ranks: u64, processor_curve: CurveKind) -> Self {
         let topo = kind.build(num_ranks);
-        let p = topo.num_nodes();
-        let (node_of_rank, used_curve): (Vec<u64>, _) = match topo.grid_side() {
+        let ranks = 0..topo.num_nodes();
+        let node_of_rank = match topo.grid_side() {
             Some(side) => {
                 let map = SfcRankMap::for_side(processor_curve, side);
-                (
-                    (0..p).map(|r| map.node_of(r)).collect(),
-                    Some(processor_curve),
-                )
+                ranks.map(|r| map.node_of(r)).collect()
             }
-            None => ((0..p).collect(), None),
+            None => ranks.collect(),
         };
         Machine {
             topo,
             node_of_rank,
-            processor_curve: used_curve,
+            oracle: None,
+        }
+    }
+
+    /// A machine of the 3-D model, without a hop table: ranks placed along
+    /// `processor_curve` on a [`TopologyKind::Mesh3d`] or
+    /// [`TopologyKind::Torus3d`] cube, canonically on a
+    /// [`TopologyKind::Hypercube`]. Panics on any other `kind`, and unless
+    /// `num_ranks` is a power of eight (of two for the hypercube).
+    pub fn cube(kind: TopologyKind, num_ranks: u64, processor_curve: Curve3dKind) -> Self {
+        let order = num_ranks.trailing_zeros() / 3;
+        let topo: Box<dyn Topology> = match kind {
+            TopologyKind::Hypercube => Box::new(Hypercube::with_nodes(num_ranks)),
+            TopologyKind::Mesh3d => Box::new(Mesh3d::cube(order)),
+            TopologyKind::Torus3d => Box::new(Torus3d::cube(order)),
+            other => panic!("{other} is not a topology of the 3-D model"),
+        };
+        assert!(
+            topo.num_nodes() == num_ranks,
+            "cubic grids need a power-of-eight processor count, got {num_ranks}"
+        );
+        // A single rank needs no curve (there is no order-0 one).
+        let node_of_rank = if kind == TopologyKind::Hypercube || num_ranks == 1 {
+            (0..num_ranks).collect()
+        } else {
+            let (curve, side) = (processor_curve.curve(order), 1u64 << order);
+            let node = |p: Point3| (p.z as u64 * side + p.y as u64) * side + p.x as u64;
+            (0..num_ranks).map(|r| node(curve.point(r))).collect()
+        };
+        Machine {
+            topo,
+            node_of_rank,
             oracle: None,
         }
     }
@@ -87,13 +114,14 @@ impl Machine {
         self.oracle.is_some()
     }
 
-    /// Check that every rank the assignment addresses exists on this
-    /// machine, as a typed error instead of a mid-kernel panic.
-    pub fn check_assignment(&self, asg: &Assignment) -> Result<(), SfcError> {
-        if asg.num_ranks() > self.num_ranks() {
+    /// Check that the ranks `0 .. assignment_ranks` an assignment addresses
+    /// all exist on this machine, as a typed error instead of a mid-kernel
+    /// panic.
+    pub fn check_ranks(&self, assignment_ranks: u64) -> Result<(), SfcError> {
+        if assignment_ranks > self.num_ranks() {
             return Err(SfcError::MachineTooSmall {
                 machine_ranks: self.num_ranks(),
-                assignment_ranks: asg.num_ranks(),
+                assignment_ranks,
             });
         }
         Ok(())
@@ -113,12 +141,6 @@ impl Machine {
     /// The underlying topology.
     pub fn topology(&self) -> &dyn Topology {
         self.topo.as_ref()
-    }
-
-    /// The processor-order curve actually in effect (`None` on non-grid
-    /// topologies).
-    pub fn processor_curve(&self) -> Option<CurveKind> {
-        self.processor_curve
     }
 
     /// Hop distance between the processors hosting ranks `a` and `b`.
@@ -154,7 +176,6 @@ impl std::fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("topology", &self.topo.name())
             .field("ranks", &self.num_ranks())
-            .field("processor_curve", &self.processor_curve)
             .finish()
     }
 }
@@ -167,7 +188,6 @@ mod tests {
     fn grid_machine_uses_curve_placement() {
         let m = Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert);
         assert_eq!(m.num_ranks(), 64);
-        assert_eq!(m.processor_curve(), Some(CurveKind::Hilbert));
         // Hilbert consecutive ranks are physically adjacent.
         for r in 0..63u32 {
             assert_eq!(m.distance(r, r + 1), 1);
@@ -177,7 +197,6 @@ mod tests {
     #[test]
     fn non_grid_machine_ignores_curve() {
         let m = Machine::new(TopologyKind::Hypercube, 64, CurveKind::Hilbert);
-        assert_eq!(m.processor_curve(), None);
         // Identity placement: distance = Hamming of rank ids.
         assert_eq!(m.distance(0, 63), 6);
         assert_eq!(m.distance(5, 5), 0);
@@ -195,7 +214,6 @@ mod tests {
     #[test]
     fn quadtree_machine_identity_ranks() {
         let m = Machine::new(TopologyKind::Quadtree, 16, CurveKind::ZCurve);
-        assert_eq!(m.processor_curve(), None);
         assert_eq!(m.distance(0, 1), 2);
         assert_eq!(m.distance(0, 15), 4);
     }
@@ -228,7 +246,6 @@ mod tests {
         assert!(Machine::new(TopologyKind::Torus, 64, CurveKind::Hilbert).has_oracle());
         let m = Machine::closed_form(TopologyKind::Torus, 64, CurveKind::Hilbert);
         assert!(!m.has_oracle());
-        assert_eq!(m.processor_curve(), Some(CurveKind::Hilbert));
     }
 
     #[test]
@@ -286,12 +303,13 @@ mod tests {
     }
 
     #[test]
-    fn check_assignment_reports_undersized_machines() {
+    fn check_ranks_reports_undersized_machines() {
+        use crate::Assignment;
         use sfc_curves::Point2;
         let particles = vec![Point2::new(0, 0), Point2::new(1, 1)];
         let asg = Assignment::new(&particles, 2, CurveKind::Hilbert, 64);
         let small = Machine::new(TopologyKind::Mesh, 16, CurveKind::Hilbert);
-        match small.check_assignment(&asg) {
+        match small.check_ranks(asg.num_ranks()) {
             Err(SfcError::MachineTooSmall {
                 machine_ranks,
                 assignment_ranks,
@@ -302,6 +320,6 @@ mod tests {
             other => panic!("expected MachineTooSmall, got {other:?}"),
         }
         let big = Machine::new(TopologyKind::Mesh, 64, CurveKind::Hilbert);
-        assert!(big.check_assignment(&asg).is_ok());
+        assert!(big.check_ranks(asg.num_ranks()).is_ok());
     }
 }

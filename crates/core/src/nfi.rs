@@ -84,12 +84,9 @@ pub fn nfi_acd(
     radius: u32,
     norm: Norm,
 ) -> Result<NfiResult, SfcError> {
-    let mut distance = [0];
-    let counts = nfi_totals(asg, &[machine], radius, norm, &mut distance)?;
-    Ok(NfiResult {
-        total_distance: distance[0],
-        ..counts
-    })
+    check(asg.num_ranks(), &[machine], radius)?;
+    let result = nfi_on(&[machine], &mut [0], |t| nfi_traffic(asg, radius, norm, t)).next();
+    Ok(result.expect("one result per machine"))
 }
 
 /// [`nfi_acd`] on every machine of `machines`, from one scan of `asg`: the
@@ -100,44 +97,36 @@ pub fn nfi_acd_on(
     radius: u32,
     norm: Norm,
 ) -> Result<Vec<NfiResult>, SfcError> {
-    let mut distance = vec![0; machines.len()];
-    let counts = nfi_totals(asg, machines, radius, norm, &mut distance)?;
-    Ok(distance
-        .iter()
-        .map(|&total_distance| NfiResult {
-            total_distance,
-            ..counts
-        })
-        .collect())
+    check(asg.num_ranks(), machines, radius)?;
+    let distance = &mut vec![0; machines.len()];
+    Ok(nfi_on(machines, distance, |t| nfi_traffic(asg, radius, norm, t)).collect())
 }
 
-/// Scan `asg` once, summing each machine's hop distance into `distance`.
-/// Returns the message counts, which no machine changes, with a zero
-/// distance.
-fn nfi_totals(
-    asg: &Assignment,
+/// The near-field result on each of `machines` of the traffic `scan`
+/// delivers, undirected, to the [`Totals`] it is given. `distance` holds
+/// one sum per machine, so one machine needs no allocation.
+pub(crate) fn nfi_on<'a>(
     machines: &[&Machine],
-    radius: u32,
-    norm: Norm,
-    distance: &mut [u64],
-) -> Result<NfiResult, SfcError> {
-    check(asg, machines, radius)?;
+    distance: &'a mut [u64],
+    scan: impl FnOnce(&mut Totals),
+) -> impl Iterator<Item = NfiResult> + 'a {
     let mut totals = Totals::undirected(machines, distance);
-    nfi_traffic(asg, radius, norm, &mut totals);
-    Ok(NfiResult {
-        total_distance: 0,
-        num_comms: totals.comms,
-        local_comms: totals.local,
+    scan(&mut totals);
+    let (num_comms, local_comms) = (totals.comms, totals.local);
+    distance.iter().map(move |&total_distance| NfiResult {
+        total_distance,
+        num_comms,
+        local_comms,
     })
 }
 
 /// Reject what no near-field measurement can take: a zero radius, then a
-/// machine with fewer ranks than `asg` addresses.
-pub(crate) fn check(asg: &Assignment, machines: &[&Machine], radius: u32) -> Result<(), SfcError> {
+/// machine with fewer than `ranks` ranks.
+pub(crate) fn check(ranks: u64, machines: &[&Machine], radius: u32) -> Result<(), SfcError> {
     if radius < 1 {
         return Err(SfcError::ZeroRadius);
     }
-    machines.iter().try_for_each(|m| m.check_assignment(asg))
+    machines.iter().try_for_each(|m| m.check_ranks(ranks))
 }
 
 /// Deliver the near-field traffic of `asg` to `sink`, *undirected* (see

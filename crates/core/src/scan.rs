@@ -226,8 +226,14 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// Count a message from the current sender of `acc` to every occupied cell
 /// `(x, y)` with `x` in `xs` but not in `hole`. Both ranges are half-open.
 /// `xs` must lie inside the level's side; `hole` may overhang it, and an
-/// empty `hole` (such as `0..0`) cuts nothing.
-#[inline]
+/// empty `hole` (such as `0..0`) cuts nothing. `y` is the row: a square's
+/// `y`, a cube's `y + side · z`.
+///
+/// Always inlined: left to rustc, inlining flips with unrelated edits.
+/// Inlined, a single-worker `table1 --scale 2` spent 3% less time in `ffi`
+/// and 4.5% less in `nfi` than with rustc's two out-of-line copies
+/// (medians of 16 paired runs, 2-vCPU x86-64 container).
+#[inline(always)]
 pub(crate) fn scan_row(
     rows: &GridIndex,
     y: u32,

@@ -433,14 +433,18 @@ impl ExperimentSpec {
     }
 
     /// Check the spec before any work happens: the axes the artifact's
-    /// driver indexes and its renderer labels, power-of-four processor
-    /// counts, nonzero radii, and a samplable workload whose grid is wider
-    /// than the first radius.
+    /// driver indexes and its renderer labels, topologies of the 2-D model
+    /// only, power-of-four processor counts, nonzero radii, and a samplable
+    /// workload whose grid is wider than the first radius.
     pub fn validate(&self) -> Result<(), SfcError> {
         if self.trials == 0 {
             return Err(SfcError::NoTrials);
         }
         self.check_axes()?;
+        let cube = |t: &&TopologyKind| matches!(t, TopologyKind::Mesh3d | TopologyKind::Torus3d);
+        if let Some(&topology) = self.topologies.iter().find(cube) {
+            return Err(SfcError::Topology3d { topology });
+        }
         for &p in &self.processors {
             if !p.is_power_of_two() || !p.trailing_zeros().is_multiple_of(2) {
                 return Err(SfcError::NonPowerOfFourProcessors { num_processors: p });
@@ -925,6 +929,25 @@ mod tests {
             for scale in 0..=9 {
                 let spec = ExperimentSpec::for_artifact(artifact, scale, 1, 7);
                 assert_eq!(spec.validate(), Ok(()), "{artifact} at scale {scale}");
+            }
+        }
+
+        // A 3-D network anywhere in a sweep's topologies is a typed error,
+        // not a panic in the machine build.
+        for artifact in [
+            ArtifactKind::Table1,
+            ArtifactKind::Table2,
+            ArtifactKind::Figure6,
+            ArtifactKind::Figure7,
+        ] {
+            for topology in [TopologyKind::Mesh3d, TopologyKind::Torus3d] {
+                let mut spec = ExperimentSpec::for_artifact(artifact, 5, 1, 7);
+                spec.topologies.push(topology);
+                assert_eq!(
+                    spec.validate(),
+                    Err(SfcError::Topology3d { topology }),
+                    "{artifact} with {topology}"
+                );
             }
         }
 

@@ -4,10 +4,13 @@
 use proptest::prelude::*;
 use sfc_core::ffi::{ffi_acd, ffi_acd_on, ffi_acd_with_tree, ffi_traffic, FfiResult, OwnerTree};
 use sfc_core::load::{nfi_link_load, route, LinkLoad};
+use sfc_core::model3d::{ffi_acd_3d, ffi_traffic_3d, nfi_acd_3d, nfi_traffic_3d, Assignment3};
 use sfc_core::nfi::{nfi_acd, nfi_acd_on, nfi_traffic, NfiResult};
 use sfc_core::{Assignment, Machine, PairSink};
+use sfc_curves::curve3d::{Curve3dKind, Point3};
 use sfc_curves::point::Norm;
 use sfc_curves::{CurveKind, Point2};
+use sfc_quadtree::cell3d::{interaction_list_3d, Cell3};
 use sfc_quadtree::{interaction_list, Cell};
 use sfc_topology::bfs::bfs_distances;
 use sfc_topology::{Bus, Hypercube, Mesh2d, Ring, TopologyKind, Torus2d};
@@ -218,8 +221,131 @@ fn assert_brute_force_pairs(asg: &Assignment, machine: &Machine) {
     assert_eq!(&across.pairs, &want_across);
 }
 
+/// Distinct cells of a `2^order`-sided cube.
+fn distinct_cells_3d(order: u32, raws: &[(u32, u32, u32)]) -> Vec<Point3> {
+    let side = 1u32 << order;
+    let mut seen = std::collections::HashSet::new();
+    raws.iter()
+        .map(|&(x, y, z)| Point3::new(x % side, y % side, z % side))
+        .filter(|&p| seen.insert(p))
+        .collect()
+}
+
+/// The 3-D kernels deliver exactly the brute-force traffic pair by pair:
+/// the Chebyshev near field at radii 1 and 2 against every ordered pair of
+/// particles, interpolation against the minimum rank of each cell's and
+/// its parent's particles, and interaction lists against
+/// `sfc_quadtree::cell3d::interaction_list_3d` over those owners. Each
+/// machine of the set then sees the brute-force pairs' hop distances.
+fn assert_brute_force_pairs_3d(asg: &Assignment3, curve: Curve3dKind) {
+    let hops = |m: &Machine, pairs: &PairMap| -> u64 {
+        pairs.iter().map(|(&(a, b), &n)| n * m.distance(a, b)).sum()
+    };
+    let machines: Vec<Machine> = [
+        TopologyKind::Mesh3d,
+        TopologyKind::Torus3d,
+        TopologyKind::Hypercube,
+    ]
+    .map(|kind| Machine::cube(kind, asg.num_ranks(), curve))
+    .into();
+    let set: Vec<&Machine> = machines.iter().collect();
+    let particles = asg.particles();
+    for radius in 1..=2 {
+        let mut want = PairMap::new();
+        for (i, p) in particles.iter().enumerate() {
+            for (j, q) in particles.iter().enumerate() {
+                if i != j && p.chebyshev(*q) <= u64::from(radius) {
+                    let key = (asg.rank_of_index(i), asg.rank_of_index(j));
+                    *want.entry(key).or_default() += 1;
+                }
+            }
+        }
+        let mut got = Collect::new(true);
+        nfi_traffic_3d(asg, radius, &mut got);
+        assert_eq!(&got.pairs, &want, "r={radius}");
+        let results = nfi_acd_3d(asg, &set, radius).unwrap();
+        for (m, result) in machines.iter().zip(results) {
+            assert_eq!(result.num_comms, want.values().sum::<u64>());
+            assert_eq!(result.total_distance, hops(m, &want), "r={radius}");
+        }
+    }
+    // Owners, level by level: the minimum rank over each cell's particles.
+    let k = asg.grid_order();
+    let mut owners = vec![HashMap::new(); k as usize + 1];
+    for (i, p) in particles.iter().enumerate() {
+        for level in 0..=k {
+            let shift = k - level;
+            let cell = (p.x >> shift, p.y >> shift, p.z >> shift);
+            let owner = owners[level as usize]
+                .entry(cell)
+                .or_insert(asg.rank_of_index(i));
+            *owner = (*owner).min(asg.rank_of_index(i));
+        }
+    }
+    let (mut want_up, mut want_across) = (PairMap::new(), PairMap::new());
+    for level in 1..=k {
+        let cells = &owners[level as usize];
+        for (&(x, y, z), &rank) in cells {
+            let parent = owners[level as usize - 1][&(x >> 1, y >> 1, z >> 1)];
+            *want_up.entry((rank, parent)).or_default() += 1;
+            for other in interaction_list_3d(Cell3::new(level, x, y, z)) {
+                if let Some(&o) = cells.get(&(other.x, other.y, other.z)) {
+                    *want_across.entry((rank, o)).or_default() += 1;
+                }
+            }
+        }
+    }
+    let (mut up, mut across) = (Collect::new(false), Collect::new(true));
+    ffi_traffic_3d(asg, &mut up, &mut across);
+    assert_eq!(&up.pairs, &want_up);
+    assert_eq!(&across.pairs, &want_across);
+    let results = ffi_acd_3d(asg, &set).unwrap();
+    for (m, result) in machines.iter().zip(results) {
+        assert_eq!(result.interp_comms, want_up.values().sum::<u64>());
+        assert_eq!(result.ilist_comms, want_across.values().sum::<u64>());
+        assert_eq!(result.interp_distance, hops(m, &want_up));
+        assert_eq!(result.ilist_distance, hops(m, &want_across));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The 3-D kernels deliver the brute-force pairs (see
+    /// [`assert_brute_force_pairs_3d`]) at orders 2–4, on dense cubes, with
+    /// 1 to 512 ranks.
+    #[test]
+    fn kernels_3d_deliver_the_brute_force_pairs(
+        raws in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 1..120),
+        order in 2u32..5,
+        curve_idx in 0usize..4,
+        procs_idx in 0usize..4,
+    ) {
+        let cells = distinct_cells_3d(order, &raws);
+        let curve = Curve3dKind::ALL[curve_idx];
+        let procs = [1u64, 8, 64, 512][procs_idx];
+        let asg = Assignment3::new(&cells, order, curve, procs);
+        prop_assert!(asg.has_dense_grid());
+        assert_brute_force_pairs_3d(&asg, curve);
+    }
+
+    /// Above the cell cap the cube's table is sparse, and the 3-D kernels
+    /// still deliver the brute-force pairs. The cells come from the 8×8×8
+    /// corner of the order-9 cube (2^27 cells), so the near field and the
+    /// interaction lists are populated.
+    #[test]
+    fn kernels_3d_deliver_the_brute_force_pairs_above_the_cell_cap(
+        raws in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 1..120),
+        curve_idx in 0usize..4,
+        procs_idx in 0usize..4,
+    ) {
+        let cells = distinct_cells_3d(3, &raws);
+        let curve = Curve3dKind::ALL[curve_idx];
+        let procs = [1u64, 8, 64, 512][procs_idx];
+        let asg = Assignment3::new(&cells, 9, curve, procs);
+        prop_assert!(!asg.has_dense_grid());
+        assert_brute_force_pairs_3d(&asg, curve);
+    }
 
     /// One scan evaluated on a whole machine set gives, machine by machine,
     /// what the single-machine kernels give, and both equal the brute-force

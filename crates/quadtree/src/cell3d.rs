@@ -6,8 +6,6 @@
 //! holds the children of its parent's neighbors that are not adjacent to it
 //! (at most `6³ − 3³ = 189` cells).
 
-use sfc_curves::curve3d::{morton3_decode, morton3_encode, Point3};
-
 /// A cell of the spatial octree at a given resolution level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cell3 {
@@ -41,24 +39,6 @@ impl Cell3 {
             (x as u64) < side && (y as u64) < side && (z as u64) < side,
             "cell ({x}, {y}, {z}) outside level-{level} grid"
         );
-        Cell3 { level, x, y, z }
-    }
-
-    /// The finest-resolution cell of a grid point.
-    pub fn leaf(grid_order: u32, p: Point3) -> Self {
-        Cell3::new(grid_order, p.x, p.y, p.z)
-    }
-
-    /// Morton code of the cell within its level.
-    #[inline]
-    pub fn code(&self) -> u64 {
-        morton3_encode(self.x, self.y, self.z)
-    }
-
-    /// Reconstruct a cell from its level and Morton code.
-    #[inline]
-    pub fn from_code(level: u32, code: u64) -> Self {
-        let (x, y, z) = morton3_decode(code);
         Cell3 { level, x, y, z }
     }
 
@@ -138,12 +118,6 @@ impl Cell3 {
     }
 }
 
-impl std::fmt::Display for Cell3 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "L{}({}, {}, {})", self.level, self.x, self.y, self.z)
-    }
-}
-
 /// The 3-D interaction list: children of the parent's neighbors (and of the
 /// parent) that are not equal or adjacent to `cell`.
 pub fn interaction_list_3d(cell: Cell3) -> Vec<Cell3> {
@@ -190,12 +164,6 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-    }
-
-    #[test]
-    fn code_round_trip() {
-        let c = Cell3::new(7, 100, 50, 127);
-        assert_eq!(Cell3::from_code(7, c.code()), c);
     }
 
     #[test]
@@ -253,7 +221,7 @@ mod tests {
                         far_levels += 1;
                     }
                 }
-                assert_eq!(far_levels, u32::from(!near), "{a} vs {b}");
+                assert_eq!(far_levels, u32::from(!near), "{a:?} vs {b:?}");
             }
         }
     }

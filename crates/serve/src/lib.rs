@@ -1675,6 +1675,28 @@ mod tests {
     }
 
     #[test]
+    fn sweep_spec_with_a_3d_topology_is_a_bad_request_not_a_panic() {
+        // The 2-D sweeps cannot build a 3-D machine; validation says so
+        // before any computation starts, so a retrying client stops at once.
+        let server = server("topology3d", ServerOptions::default());
+        let spec = ExperimentSpec::for_artifact(ArtifactKind::Table1, 5, 1, 7).canonical_json();
+        let Value::Object(mut obj) = spec else {
+            unreachable!()
+        };
+        obj.insert("topologies", Value::Array(vec!["Mesh3d".to_json()]));
+        obj.insert("op", "run".to_json());
+        let resp = server.handle_line(&serde_json::to_string(&Value::Object(obj)).unwrap());
+        assert_eq!(resp.doc.get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(kind_of(&resp), "bad_request");
+        let error = resp.doc.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("Mesh3D is a 3-D network"), "{error}");
+        let stats = server.handle_line(r#"{"op": "stats"}"#);
+        let body = stats.doc.get("stats").unwrap();
+        assert_eq!(body.get("panics"), Some(&(0u64).to_json()));
+        assert_eq!(body.get("computations"), Some(&(0u64).to_json()));
+    }
+
+    #[test]
     fn repeat_run_is_a_cache_hit_with_identical_payload() {
         let server = server("repeat", ServerOptions::default());
         let first = server.handle_line(&run_line(9));

@@ -50,8 +50,7 @@ impl TopologyKind {
     /// host the same processor count (square grids need a square count, the
     /// quadtree a power of four, the hypercube a power of two). The paper's
     /// processor counts (e.g. 65,536 = 4^8) all satisfy this. The 3-D
-    /// variants are not part of sweeps — construct them explicitly via
-    /// `Mesh3d::new` / `Torus3d::new`; `build` panics for them.
+    /// variants are not part of sweeps; `build` panics for them.
     pub fn build(self, nodes: u64) -> Box<dyn Topology> {
         assert!(
             nodes.is_power_of_two() && nodes.trailing_zeros().is_multiple_of(2),
@@ -65,9 +64,7 @@ impl TopologyKind {
             TopologyKind::Torus => Box::new(Torus2d::square(grid_order)),
             TopologyKind::Quadtree => Box::new(QuadtreeNet::with_nodes(nodes)),
             TopologyKind::Hypercube => Box::new(Hypercube::with_nodes(nodes)),
-            TopologyKind::Mesh3d | TopologyKind::Torus3d => {
-                panic!("3-D topologies are built via Mesh3d/Torus3d::new, not sweeps")
-            }
+            TopologyKind::Mesh3d | TopologyKind::Torus3d => panic!("sweeps build no 3-D topology"),
         }
     }
 
